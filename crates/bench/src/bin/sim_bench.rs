@@ -23,15 +23,6 @@
 //!
 //! Writes `BENCH_sim.json` (uploaded as a CI artifact) and exits non-zero
 //! if the aggregate replay speedup is under the 3x gate.
-//!
-//! A third phase benchmarks the **set-sharded parallel replay**
-//! (`SimPath::Sharded`, see `docs/SIM.md`) on a single replay-heavy point
-//! on the shardable `generic_x86` geometry: bit-identity vs the serial
-//! dense engine is always enforced, and on hosts with >= 8 cores the
-//! sharded single-point speedup must clear `FS_SIM_SHARD_MIN_SPEEDUP`
-//! (default 3x; on smaller hosts the figure is recorded but the gate is
-//! waived — shard workers cannot outnumber cores). Writes
-//! `BENCH_sim_shard.json` as its own CI artifact.
 
 use cache_sim::{simulate_kernel_prepared, SimOptions, SimPath, SimPrepared};
 use fs_bench::scale;
@@ -47,11 +38,6 @@ const REPEAT: u32 = 3;
 /// baseline (enforced only under `FS_OBS_GATE=1`).
 const OBS_OVERHEAD_GATE: f64 = 0.02;
 const JSON_PATH: &str = "BENCH_sim.json";
-/// Required sharded-vs-serial single-point speedup on hosts with at least
-/// [`SHARD_GATE_MIN_CORES`] cores (`FS_SIM_SHARD_MIN_SPEEDUP` overrides).
-const SHARD_GATE: f64 = 3.0;
-const SHARD_GATE_MIN_CORES: usize = 8;
-const SHARD_JSON_PATH: &str = "BENCH_sim_shard.json";
 
 struct Point {
     name: &'static str,
@@ -272,124 +258,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // ---- Phase 3: set-sharded parallel replay, single point ------------
-    // One replay-heavy configuration (heat at the FS-inducing chunk) on
-    // the shardable generic_x86 geometry, prefetch off so the dispatcher
-    // can shard. Correctness (bit-identity) always gates; the speedup
-    // gate only binds where the shard workers have real cores to run on.
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let shard_workers = host_cores.clamp(2, 8);
-    let shard_gate: f64 = std::env::var("FS_SIM_SHARD_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(SHARD_GATE);
-    let shard_gate_on = host_cores >= SHARD_GATE_MIN_CORES;
-    let shard_machine = fs_core::machines::generic_x86();
-    let shard_kernel = scale::heat(scale::HEAT_CHUNKS.0, threads);
-    let shard_prepared = SimPrepared::new(&shard_kernel, shard_machine.line_size());
-    let sopts = SimOptions::new(threads).without_prefetch();
-    let serial_opts = sopts.with_path(SimPath::Optimized);
-    let sharded_opts = sopts
-        .with_path(SimPath::Sharded)
-        .with_replay_workers(shard_workers);
-
-    let serial_stats =
-        simulate_kernel_prepared(&shard_kernel, &shard_machine, serial_opts, &shard_prepared);
-    let sharded_stats =
-        simulate_kernel_prepared(&shard_kernel, &shard_machine, sharded_opts, &shard_prepared);
-    if sharded_stats != serial_stats {
-        eprintln!(
-            "sim_bench: sharded replay diverges on heat chunk {}: \
-             sharded {} FS / {} coherence misses, serial {} FS / {} coherence misses",
-            scale::HEAT_CHUNKS.0,
-            sharded_stats.total_false_sharing(),
-            sharded_stats.total_coherence_misses(),
-            serial_stats.total_false_sharing(),
-            serial_stats.total_coherence_misses()
-        );
-        return ExitCode::FAILURE;
-    }
-    // The sharded dispatch must actually have been taken (not a silent
-    // serial fallback mislabeled as a parallel measurement).
-    obs::configure(obs::ObsConfig::enabled());
-    let sharded_before = obs::counters::SIM_DISPATCH_SHARDED.get();
-    simulate_kernel_prepared(&shard_kernel, &shard_machine, sharded_opts, &shard_prepared);
-    obs::configure(obs::ObsConfig::disabled());
-    if obs::counters::SIM_DISPATCH_SHARDED.get() != sharded_before + 1 {
-        eprintln!("sim_bench: heat on generic_x86 did not take the sharded dispatch");
-        return ExitCode::FAILURE;
-    }
-
-    let time_shard_point = |o: SimOptions| {
-        let mut min = f64::INFINITY;
-        let mut sink = 0u64;
-        for _ in 0..REPEAT {
-            let t0 = Instant::now();
-            sink = sink.wrapping_add(
-                simulate_kernel_prepared(&shard_kernel, &shard_machine, o, &shard_prepared)
-                    .total_false_sharing(),
-            );
-            min = min.min(t0.elapsed().as_secs_f64());
-        }
-        std::hint::black_box(sink);
-        min
-    };
-    let shard_serial_s = time_shard_point(serial_opts);
-    let shard_sharded_s = time_shard_point(sharded_opts);
-    let shard_speedup = shard_serial_s / shard_sharded_s.max(1e-9);
-    println!(
-        "sharded replay (heat chunk {}, generic_x86, {} workers on {} cores): \
-         serial {:.2} ms, sharded {:.2} ms ({:.2}x)",
-        scale::HEAT_CHUNKS.0,
-        shard_workers,
-        host_cores,
-        shard_serial_s * 1e3,
-        shard_sharded_s * 1e3,
-        shard_speedup
-    );
-    let shard_pass = if shard_gate_on {
-        println!(
-            "sharded speedup gate: {shard_speedup:.2}x vs {shard_gate:.1}x \
-             (FS_SIM_SHARD_MIN_SPEEDUP overrides): {}",
-            if shard_speedup >= shard_gate {
-                "PASS"
-            } else {
-                "FAIL"
-            }
-        );
-        shard_speedup >= shard_gate
-    } else {
-        println!(
-            "sharded speedup gate: waived — host has {host_cores} cores \
-             (< {SHARD_GATE_MIN_CORES}); figure recorded only"
-        );
-        true
-    };
-    let shard_doc = JsonValue::obj()
-        .field("benchmark", "sim_shard")
-        .field("kernel", "heat")
-        .field("chunk", scale::HEAT_CHUNKS.0)
-        .field("machine", "generic_x86")
-        .field("threads", threads)
-        .field("shard_workers", shard_workers as u64)
-        .field("host_cores", host_cores as u64)
-        .field("repeat", REPEAT)
-        .field("serial_seconds", shard_serial_s)
-        .field("sharded_seconds", shard_sharded_s)
-        .field("speedup", shard_speedup)
-        .field("gate", shard_gate)
-        .field("gate_enforced", shard_gate_on)
-        .field("pass", shard_pass);
-    match std::fs::write(SHARD_JSON_PATH, shard_doc.render_pretty()) {
-        Ok(()) => println!("wrote {SHARD_JSON_PATH}"),
-        Err(e) => {
-            eprintln!("sim_bench: cannot write {SHARD_JSON_PATH}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
     let doc = JsonValue::obj()
         .field("benchmark", "sim")
         .field("threads", threads)
@@ -430,19 +298,13 @@ fn main() -> ExitCode {
         }
     }
 
-    if pass && obs_gate_pass && shard_pass {
+    if pass && obs_gate_pass {
         println!("PASS (>= {GATE:.1}x)");
         ExitCode::SUCCESS
     } else {
         println!(
             "FAIL ({})",
-            if !pass {
-                "speedup"
-            } else if !obs_gate_pass {
-                "obs overhead gate"
-            } else {
-                "sharded speedup gate"
-            }
+            if pass { "obs overhead gate" } else { "speedup" }
         );
         ExitCode::FAILURE
     }

@@ -69,33 +69,14 @@ pub fn measured_time_seconds_prepared(
     threads: u32,
     prepared: &SimPrepared,
 ) -> f64 {
-    measured_time_seconds_prepared_with(kernel, machine, threads, prepared, 1)
-}
-
-/// [`measured_time_seconds_prepared`] with an explicit per-replay worker
-/// share. `replay_workers >= 2` requests the sharded replay
-/// (`SimPath::Sharded`); the dispatcher still falls back to the serial
-/// dense engine for configs that cannot shard (prefetch on, as in these
-/// tables, or non-decomposable geometry), so results are identical either
-/// way. Callers composing with [`fs_core::run_indexed`] should derive the
-/// share from [`fs_core::split_workers`] so the two levels never
-/// oversubscribe the `FS_SIM_WORKERS` budget.
-pub fn measured_time_seconds_prepared_with(
-    kernel: &Kernel,
-    machine: &MachineConfig,
-    threads: u32,
-    prepared: &SimPrepared,
-    replay_workers: usize,
-) -> f64 {
     let compute = machine_cost(kernel, &machine.processor).cycles_per_iter;
-    let mut opts = SimOptions::new(threads);
-    if replay_workers >= 2 {
-        opts = opts
-            .with_path(SimPath::Sharded)
-            .with_replay_workers(replay_workers);
-    }
-    let cycles =
-        cache_sim::simulated_time_cycles_prepared(kernel, machine, opts, compute, prepared);
+    let cycles = cache_sim::simulated_time_cycles_prepared(
+        kernel,
+        machine,
+        SimOptions::new(threads),
+        compute,
+        prepared,
+    );
     machine.cycles_to_seconds(cycles)
 }
 
@@ -122,11 +103,6 @@ pub struct FsEffectRow {
 /// default of one worker per available core). Within a row, the FS and
 /// no-FS kernels differ only in chunk size, so the trace planning is done
 /// once and shared across the pair.
-///
-/// The `FS_SIM_WORKERS` budget is split **once** between point-level
-/// fan-out and each point's sharded replay via [`fs_core::split_workers`]
-/// and the replay share is passed down explicitly, so the two levels of
-/// parallelism compose without oversubscription.
 pub fn fs_effect_table(
     mk: impl Fn(u64, u32) -> Kernel + Sync,
     chunks: (u64, u64),
@@ -134,17 +110,13 @@ pub fn fs_effect_table(
     threads: &[u32],
 ) -> Vec<FsEffectRow> {
     let (c_fs, c_nfs) = chunks;
-    let (point_workers, replay_workers) =
-        fs_core::split_workers(threads.len(), fs_core::sim_workers());
-    fs_core::run_indexed(threads.len(), point_workers, |i| {
+    fs_core::run_indexed(threads.len(), fs_core::sim_workers(), |i| {
         let t = threads[i];
         let k_fs = mk(c_fs, t);
         let k_nfs = mk(c_nfs, t);
         let prepared = SimPrepared::new(&k_fs, machine.line_size());
-        let t_fs =
-            measured_time_seconds_prepared_with(&k_fs, machine, t, &prepared, replay_workers);
-        let t_nfs =
-            measured_time_seconds_prepared_with(&k_nfs, machine, t, &prepared, replay_workers);
+        let t_fs = measured_time_seconds_prepared(&k_fs, machine, t, &prepared);
+        let t_nfs = measured_time_seconds_prepared(&k_nfs, machine, t, &prepared);
         let modeled = modeled_fs_overhead(&k_fs, &k_nfs, machine, &AnalysisOptions::new(t));
         FsEffectRow {
             threads: t,
@@ -316,17 +288,12 @@ pub fn enable_sim_counters() {
 pub fn sim_summary() -> String {
     let snap = fs_core::obs::snapshot();
     format!(
-        "sim: {} replays ({} dense, {} sharded, {} reference, {} fallbacks, \
-         {} shard fallbacks: {} prefetch / {} geometry), {} points on {} workers, \
+        "sim: {} replays ({} dense, {} reference, {} fallbacks), {} points on {} workers, \
          {} accesses, {} coherence misses ({} FS, {} TS)",
         snap.counter("sim.replays"),
         snap.counter("sim.dispatch_dense"),
-        snap.counter("sim.dispatch_sharded"),
         snap.counter("sim.dispatch_reference"),
         snap.counter("sim.dense_limit_fallbacks"),
-        snap.counter("sim.shard_prefetch_fallbacks") + snap.counter("sim.shard_geometry_fallbacks"),
-        snap.counter("sim.shard_prefetch_fallbacks"),
-        snap.counter("sim.shard_geometry_fallbacks"),
         snap.counter("sim.points_evaluated"),
         snap.gauge("sim.workers").max(1),
         snap.counter("sim.accesses"),

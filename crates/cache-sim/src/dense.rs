@@ -22,14 +22,6 @@
 //! stays a function of the original line number, exactly as the reference
 //! path computes it.
 //!
-//! The same engine also serves as **one shard** of the set-sharded
-//! parallel replay (`crate::shard`): [`DenseMultiCoreSim::new_shard`]
-//! builds a simulator that owns one residue class of the line space
-//! (`line % shard_count == residue`), with every cache's set count scaled
-//! down by the shard count and the dense tables sized to the class. The
-//! serial constructor is the `shard_count == 1` special case, so the two
-//! paths cannot drift apart.
-//!
 //! The mirror is behavioral, not just statistical: the per-set LRU
 //! ([`DenseSetLru`] vs [`crate::lru::LruCache`]) is proptested
 //! operation-identical, the same [`StreamPrefetcher`] observes the same
@@ -58,102 +50,31 @@ use std::collections::HashMap;
 /// core actually touches.
 pub(crate) const DENSE_LINE_LIMIT: u64 = 1 << 21;
 
-/// Byte mask within a line for `offset..offset+size` (identical to the
-/// reference `MultiCoreSim::byte_mask`).
-#[inline]
-fn byte_mask(offset: u64, size: u64) -> u64 {
-    debug_assert!(offset + size <= 64, "mask covers one 64-byte line");
-    if size >= 64 {
-        u64::MAX
-    } else {
-        ((1u64 << size) - 1) << offset
-    }
-}
-
-/// Split one access into per-line `(line, byte_mask)` operations — the
-/// canonical line decomposition shared by [`DenseMultiCoreSim::access`] and
-/// the sharded replay's partitioner (`crate::shard`). Call with a literal
-/// `line_size` where it is statically known (the partitioner's 64-byte fast
-/// path) so the divisions reduce to shifts.
-#[inline(always)]
-pub(crate) fn for_each_line_op(line_size: u64, addr: u64, size: u32, mut f: impl FnMut(u64, u64)) {
-    let mut a = addr;
-    let mut remaining = size as u64;
-    if remaining == 0 {
-        return;
-    }
-    loop {
-        let line_off = a % line_size;
-        let in_line = (line_size - line_off).min(remaining);
-        let (moff, msize) = if line_size == 64 {
-            (line_off, in_line)
-        } else {
-            let scale = line_size as f64 / 64.0;
-            (
-                (line_off as f64 / scale) as u64,
-                ((in_line as f64 / scale).ceil() as u64).max(1),
-            )
-        };
-        let mask = byte_mask(moff.min(63), msize.min(64 - moff.min(63)));
-        f(a / line_size, mask);
-        remaining -= in_line;
-        if remaining == 0 {
-            break;
-        }
-        a += in_line;
-    }
-}
-
 /// Maps cache-line numbers to contiguous `u32` ids. Lines inside the
-/// kernel's array footprint (`[0, footprint_lines)`) that belong to this
-/// interner's residue class map densely (shard-local line number = id);
+/// kernel's array footprint (`[0, dense_lines)`) are the identity mapping;
 /// anything else — adjacent-line prefetches past the last array, halo
 /// reads, negative addresses wrapped by the `as u64` cast — is assigned
 /// the next id from a hash-map overflow region.
-///
-/// A serial simulator owns the whole line space (`stride` 1, `residue` 0),
-/// where the dense region is the identity mapping. A shard of the parallel
-/// replay (`crate::shard`) owns the residue class
-/// `{ line | line % stride == residue }`; its dense ids enumerate that
-/// class in line order, so the tables stay per-shard sized.
 struct LineInterner {
     dense_lines: u64,
-    stride: u64,
-    residue: u64,
     overflow: HashMap<u64, u32>,
     /// `overflow_lines[id - dense_lines]` = original line of an overflow id.
     overflow_lines: Vec<u64>,
 }
 
 impl LineInterner {
-    fn new(footprint_lines: u64, stride: u64, residue: u64) -> Self {
-        debug_assert!(stride >= 1 && residue < stride);
-        let dense_lines = if stride == 1 {
-            footprint_lines
-        } else {
-            footprint_lines.saturating_sub(residue).div_ceil(stride)
-        };
+    fn new(dense_lines: u64) -> Self {
         LineInterner {
             dense_lines,
-            stride,
-            residue,
             overflow: HashMap::new(),
             overflow_lines: Vec::new(),
         }
     }
 
-    /// `local` is the caller-computed shard-local line number
-    /// (`line / stride`); for a line in the residue class,
-    /// `local < dense_lines` iff `line < footprint_lines`.
     #[inline]
-    fn id_of(&mut self, line: u64, local: u64) -> u32 {
-        debug_assert_eq!(
-            line % self.stride,
-            self.residue,
-            "line routed to wrong shard"
-        );
-        if local < self.dense_lines {
-            local as u32
+    fn id_of(&mut self, line: u64) -> u32 {
+        if line < self.dense_lines {
+            line as u32
         } else {
             let next = self.dense_lines as u32 + self.overflow_lines.len() as u32;
             match self.overflow.entry(line) {
@@ -169,20 +90,9 @@ impl LineInterner {
     #[inline]
     fn line_of(&self, id: u32) -> u64 {
         if (id as u64) < self.dense_lines {
-            id as u64 * self.stride + self.residue
-        } else {
-            self.overflow_lines[(id as u64 - self.dense_lines) as usize]
-        }
-    }
-
-    /// Shard-local line number (`line / stride`) of an interned id — what
-    /// the scaled-down set caches index their sets by.
-    #[inline]
-    fn local_line_of(&self, id: u32) -> u64 {
-        if (id as u64) < self.dense_lines {
             id as u64
         } else {
-            self.overflow_lines[(id as u64 - self.dense_lines) as usize] / self.stride
+            self.overflow_lines[(id as u64 - self.dense_lines) as usize]
         }
     }
 
@@ -253,15 +163,8 @@ impl DenseBitset {
 }
 
 /// One set-associative (or fully associative) cache storing line presence,
-/// keyed by line id; the set is computed from the shard-local line number
-/// (`line / shard_count` — the original line itself in a serial simulator),
+/// keyed by line id; the set is computed from the *original* line number,
 /// matching the reference `SetCache::set_of`.
-///
-/// Sharded instances hold `num_sets / shard_count` sets: with
-/// `shard_count` dividing the set count, the original set index of a line
-/// in residue class `r` is `shard_count * (local_line % scaled_sets) + r`,
-/// so scaled set `j` of shard `r` holds exactly the contents (and LRU
-/// order) of original set `shard_count * j + r`.
 struct DenseSetCache {
     lru: DenseSetLru<()>,
     num_sets: u64,
@@ -269,17 +172,15 @@ struct DenseSetCache {
 }
 
 impl DenseSetCache {
-    fn new(level: &CacheLevel, line_size: u64, key_capacity: usize, shard_count: u64) -> Self {
+    /// The key index starts empty and grows to the touched id range on
+    /// demand (`DenseSetLru::ensure_key` inside `insert`); absent keys
+    /// probe as misses either way, so pre-sizing would only trade memory
+    /// for nothing.
+    fn new(level: &CacheLevel, line_size: u64) -> Self {
         let num_sets = level.num_sets(line_size).max(1);
-        debug_assert_eq!(
-            num_sets % shard_count,
-            0,
-            "shard count must divide every level's set count"
-        );
-        let num_sets = (num_sets / shard_count).max(1);
         let ways = level.ways(line_size).max(1) as usize;
         DenseSetCache {
-            lru: DenseSetLru::new(num_sets as usize, ways, key_capacity),
+            lru: DenseSetLru::new(num_sets as usize, ways, 0),
             num_sets,
             hit_latency: level.hit_latency,
         }
@@ -296,11 +197,10 @@ impl DenseSetCache {
         self.lru.peek(id).is_some()
     }
 
-    /// Insert a line (by shard-local line number), returning the evicted
-    /// line id if any.
+    /// Insert a line, returning the evicted line id if any.
     #[inline]
-    fn insert(&mut self, id: u32, local_line: u64) -> Option<u32> {
-        let set = (local_line % self.num_sets) as usize;
+    fn insert(&mut self, id: u32, line: u64) -> Option<u32> {
+        let set = (line % self.num_sets) as usize;
         self.lru.insert(set, id, ()).map(|(victim, ())| victim)
     }
 
@@ -334,10 +234,6 @@ impl DenseCore {
 /// [`Self::replay`], and take the statistics with [`Self::into_stats`].
 pub struct DenseMultiCoreSim {
     line_size: u64,
-    /// Shard stride: 1 for a serial simulator; the shard count for one
-    /// shard of the parallel replay (`crate::shard`), which then only ever
-    /// sees lines of its residue class.
-    stride: u64,
     interner: LineInterner,
     cores: Vec<DenseCore>,
     shared: Vec<DenseSetCache>,
@@ -360,26 +256,7 @@ impl DenseMultiCoreSim {
     /// [`crate::sim::SimPrepared::footprint_lines`]); lines at or past it
     /// fall into the interner's overflow map.
     pub fn new(machine: &MachineConfig, num_threads: u32, footprint_lines: u64) -> Self {
-        Self::new_shard(machine, num_threads, footprint_lines, 1, 0)
-    }
-
-    /// One shard of the set-sharded parallel replay (`crate::shard`): this
-    /// simulator owns the lines with `line % shard_count == residue`, with
-    /// every cache's set count scaled down by `shard_count` (which must
-    /// divide it — see `crate::shard::plan_shards`) and the dense tables
-    /// sized to the residue class. Feeding it exactly its class's line
-    /// operations, in their global order, reproduces the serial replay's
-    /// per-line behavior bit for bit, because no MESI transition, LRU
-    /// movement, or statistic ever couples lines of different sets.
-    pub fn new_shard(
-        machine: &MachineConfig,
-        num_threads: u32,
-        footprint_lines: u64,
-        shard_count: u64,
-        residue: u64,
-    ) -> Self {
         assert!(num_threads >= 1);
-        assert!(shard_count >= 1 && residue < shard_count);
         assert!(
             num_threads <= 64,
             "directory sharer bitmask supports at most 64 cores"
@@ -393,31 +270,23 @@ impl DenseMultiCoreSim {
         let shared_level = h.levels.iter().find(|l| l.shared);
         let cluster_size = h.shared_cluster_size.max(1);
         let num_clusters = num_threads.div_ceil(cluster_size);
-        let interner = LineInterner::new(footprint_lines, shard_count, residue);
-        let capacity = interner.dense_lines as usize + 2;
-        // Cache key indexes start empty and grow to each core's touched
-        // range on demand (`DenseSetLru::ensure_key` inside `insert`);
-        // absent keys probe as misses either way, so pre-sizing would only
-        // trade memory for nothing.
+        let capacity = footprint_lines as usize + 2;
         let cores = (0..num_threads)
             .map(|_| DenseCore {
-                l1: DenseSetCache::new(private[0], h.line_size, 0, shard_count),
-                l2: private
-                    .get(1)
-                    .map(|l| DenseSetCache::new(l, h.line_size, 0, shard_count)),
+                l1: DenseSetCache::new(private[0], h.line_size),
+                l2: private.get(1).map(|l| DenseSetCache::new(l, h.line_size)),
             })
             .collect();
         let shared = shared_level
             .map(|l| {
                 (0..num_clusters)
-                    .map(|_| DenseSetCache::new(l, h.line_size, 0, shard_count))
+                    .map(|_| DenseSetCache::new(l, h.line_size))
                     .collect()
             })
             .unwrap_or_default();
         DenseMultiCoreSim {
             line_size: h.line_size,
-            stride: shard_count,
-            interner,
+            interner: LineInterner::new(footprint_lines),
             cores,
             shared,
             cluster_size,
@@ -435,10 +304,8 @@ impl DenseMultiCoreSim {
 
     /// Enable per-core stride prefetching (same predictor as the reference
     /// path — it observes original line numbers, so its decisions are
-    /// identical). Serial simulators only: a shard cannot install the
-    /// cross-class lines a next-line prefetcher generates.
+    /// identical).
     pub fn with_prefetchers(mut self) -> Self {
-        assert_eq!(self.stride, 1, "prefetchers require an unsharded replay");
         let n = self.cores.len();
         self.prefetchers = Some((0..n).map(|_| StreamPrefetcher::default()).collect());
         self
@@ -472,12 +339,22 @@ impl DenseMultiCoreSim {
         (core / self.cluster_size) as usize
     }
 
-    /// Intern `line` and make every dense table cover the id. `local` is
-    /// the shard-local line number (`line / stride`, which the caller
-    /// computed anyway for the set caches).
+    /// Byte mask within a line for `offset..offset+size` (identical to the
+    /// reference `MultiCoreSim::byte_mask`).
     #[inline]
-    fn intern(&mut self, line: u64, local: u64) -> u32 {
-        let id = self.interner.id_of(line, local);
+    fn byte_mask(offset: u64, size: u64) -> u64 {
+        debug_assert!(offset + size <= 64, "mask covers one 64-byte line");
+        if size >= 64 {
+            u64::MAX
+        } else {
+            ((1u64 << size) - 1) << offset
+        }
+    }
+
+    /// Intern `line` and make every dense table cover the id.
+    #[inline]
+    fn intern(&mut self, line: u64) -> u32 {
+        let id = self.interner.id_of(line);
         let need = id as usize + 1;
         if need > self.dir.tags.len() {
             self.dir.grow(need);
@@ -489,24 +366,41 @@ impl DenseMultiCoreSim {
 
     /// Simulate one access, splitting across lines as needed.
     pub fn access(&mut self, thread: u32, addr: u64, size: u32, is_write: bool) {
-        for_each_line_op(self.line_size, addr, size, |line, mask| {
-            self.access_line(thread, line, mask, is_write)
-        });
+        let mut a = addr;
+        let mut remaining = size as u64;
+        if remaining == 0 {
+            return;
+        }
+        loop {
+            let line_off = a % self.line_size;
+            let in_line = (self.line_size - line_off).min(remaining);
+            let (moff, msize) = if self.line_size == 64 {
+                (line_off, in_line)
+            } else {
+                let scale = self.line_size as f64 / 64.0;
+                (
+                    (line_off as f64 / scale) as u64,
+                    ((in_line as f64 / scale).ceil() as u64).max(1),
+                )
+            };
+            let mask = Self::byte_mask(moff.min(63), msize.min(64 - moff.min(63)));
+            self.access_line(thread, a / self.line_size, mask, is_write);
+            remaining -= in_line;
+            if remaining == 0 {
+                break;
+            }
+            a += in_line;
+        }
     }
 
-    pub(crate) fn access_line(&mut self, thread: u32, line: u64, bytes: u64, is_write: bool) {
+    fn access_line(&mut self, thread: u32, line: u64, bytes: u64, is_write: bool) {
         let c = thread as usize;
         self.stats.per_thread[c].accesses += 1;
         // The prefetcher observes the demand stream (hits included), on
         // original line numbers — before anything else, as in the
         // reference path.
         self.feed_prefetcher(thread, line);
-        let local = if self.stride == 1 {
-            line
-        } else {
-            line / self.stride
-        };
-        let id = self.intern(line, local);
+        let id = self.intern(line);
 
         // --- private hit path ---
         if self.cores[c].l1.probe(id) {
@@ -526,7 +420,7 @@ impl DenseMultiCoreSim {
             self.stats.per_thread[c].cycles += lat as u64;
             // Promote into L1 (inclusive: an L1 victim stays in L2; nothing
             // global changes).
-            self.cores[c].l1.insert(id, local);
+            self.cores[c].l1.insert(id, line);
             if is_write {
                 self.write_hit(thread, id);
                 self.apply_write(thread, id, bytes);
@@ -570,7 +464,7 @@ impl DenseMultiCoreSim {
         };
         self.stats.per_thread[c].cycles += self.coherence.stall_cycles(lat, is_write);
 
-        self.fill_private(thread, id, local);
+        self.fill_private(thread, id, line);
     }
 
     fn feed_prefetcher(&mut self, thread: u32, line: u64) {
@@ -586,11 +480,8 @@ impl DenseMultiCoreSim {
     }
 
     fn install_prefetch(&mut self, thread: u32, line: u64) {
-        // Prefetching is serial-only (`stride == 1`, enforced by
-        // `with_prefetchers`): next-line targets cross residue classes, so
-        // the sharded dispatch falls back instead (`crate::sim`).
         let me = thread;
-        let id = self.intern(line, line);
+        let id = self.intern(line);
         if self.cores[me as usize].holds(id) {
             return;
         }
@@ -772,8 +663,8 @@ impl DenseMultiCoreSim {
             MissSource::SharedLevel
         } else {
             let cold = self.seen.insert(id);
-            let local = self.interner.local_line_of(id);
-            self.shared[cl].insert(id, local);
+            let line = self.interner.line_of(id);
+            self.shared[cl].insert(id, line);
             MissSource::Memory { cold }
         }
     }
@@ -784,25 +675,21 @@ impl DenseMultiCoreSim {
             return;
         }
         let cl = self.cluster_of(thread);
-        let local = self.interner.local_line_of(id);
-        self.shared[cl].insert(id, local);
+        let line = self.interner.line_of(id);
+        self.shared[cl].insert(id, line);
     }
 
-    /// Insert a line (by shard-local line number) into the core's L1+L2,
-    /// handling inclusive evictions.
-    fn fill_private(&mut self, thread: u32, id: u32, local: u64) {
+    /// Insert `line` into the core's L1+L2, handling inclusive evictions.
+    fn fill_private(&mut self, thread: u32, id: u32, line: u64) {
         let c = thread as usize;
         // L2 first (inclusion), then L1.
-        let l2_victim = self.cores[c]
-            .l2
-            .as_mut()
-            .and_then(|l2| l2.insert(id, local));
+        let l2_victim = self.cores[c].l2.as_mut().and_then(|l2| l2.insert(id, line));
         if let Some(victim) = l2_victim {
             // Inclusion: the victim must leave L1 too.
             self.cores[c].l1.remove(victim);
             self.evict_from_core(thread, victim);
         }
-        if let Some(victim) = self.cores[c].l1.insert(id, local) {
+        if let Some(victim) = self.cores[c].l1.insert(id, line) {
             if self.cores[c].l2.is_none() {
                 // Single private level: an L1 eviction leaves the core.
                 self.evict_from_core(thread, victim);

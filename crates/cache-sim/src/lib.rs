@@ -15,9 +15,6 @@
 //!   coherence misses into **true** vs **false** sharing.
 //! * [`dense`] — the optimized replay engine: same MESI protocol over a
 //!   line-interned dense directory and [`lru::DenseSetLru`] caches.
-//! * [`shard`] — the set-sharded parallel replay: lines in different cache
-//!   sets never interact, so the dense engine splits by set residue class
-//!   across pool workers with bit-identical merged stats.
 //! * [`sim`] — one-call kernel simulation ([`sim::simulate_kernel`]) with
 //!   the [`sim::SimPath`] reference/optimized dispatcher.
 //! * [`stats`] — per-thread and aggregate counters.
@@ -26,7 +23,6 @@ pub mod dense;
 pub mod lru;
 pub mod mesi;
 pub mod prefetch;
-pub mod shard;
 pub mod sharing;
 pub mod sim;
 pub mod stats;

@@ -1,23 +1,18 @@
 //! Kernel-level simulation driver: trace a kernel and replay it through the
 //! MESI simulator.
 //!
-//! [`simulate_kernel`] dispatches between three implementations:
+//! [`simulate_kernel`] dispatches between two implementations:
 //!
 //! * [`SimPath::Reference`] — the original per-access closure over
 //!   [`MultiCoreSim`] with its hash-map directory, kept as the oracle.
 //! * [`SimPath::Optimized`] (default) — batched block replay
 //!   ([`TraceGen::for_each_interleaved_blocks`]) through the dense-table
 //!   [`crate::dense::DenseMultiCoreSim`].
-//! * [`SimPath::Sharded`] — the same dense replay partitioned by cache-set
-//!   residue class across [`SimOptions::replay_workers`] pool threads
-//!   (`crate::shard`). Prefetch configs and machines whose set counts do
-//!   not decompose fall back to the serial dense replay, counted in
-//!   `sim.shard_prefetch_fallbacks` / `sim.shard_geometry_fallbacks`.
 //!
-//! All paths produce bit-identical [`SimStats`] (differential tests in
-//! `tests/sim_path_equivalence.rs`, `tests/sim_shard_equivalence.rs`, and
-//! the `sim_bench` correctness gate); kernels whose footprint exceeds the
-//! dense sizing limit silently fall back to the reference path.
+//! Both produce bit-identical [`SimStats`] (differential tests in
+//! `tests/sim_path_equivalence.rs` and the `sim_bench` correctness gate);
+//! kernels whose footprint exceeds the dense sizing limit silently fall
+//! back to the reference path.
 
 use crate::dense::{DenseMultiCoreSim, DENSE_LINE_LIMIT};
 use crate::mesi::MultiCoreSim;
@@ -34,11 +29,6 @@ pub enum SimPath {
     Reference,
     /// Dense directory + batched block replay. Stats-identical, faster.
     Optimized,
-    /// Set-sharded parallel dense replay (`crate::shard`): the dense
-    /// engine split by set residue class across pool workers.
-    /// Stats-identical to [`SimPath::Optimized`]; falls back to it for
-    /// prefetch configs and non-decomposable cache geometries.
-    Sharded,
 }
 
 /// Options for [`simulate_kernel`].
@@ -52,13 +42,6 @@ pub struct SimOptions {
     pub prefetch: bool,
     /// Replay implementation; [`SimPath::Optimized`] by default.
     pub path: SimPath,
-    /// Worker budget for [`SimPath::Sharded`] (ignored on other paths):
-    /// the shard count is the largest divisor of the machine's set-count
-    /// gcd that fits this budget. `0` (the default) means auto — the
-    /// host's available parallelism. Callers composing with point-level
-    /// fan-out should pass an explicit share of their budget
-    /// (`fs_core::split_workers`) instead of leaving it on auto.
-    pub replay_workers: usize,
 }
 
 impl SimOptions {
@@ -68,7 +51,6 @@ impl SimOptions {
             interleave: Interleave::PerIteration,
             prefetch: true,
             path: SimPath::Optimized,
-            replay_workers: 0,
         }
     }
 
@@ -84,11 +66,6 @@ impl SimOptions {
 
     pub fn with_interleave(mut self, interleave: Interleave) -> Self {
         self.interleave = interleave;
-        self
-    }
-
-    pub fn with_replay_workers(mut self, replay_workers: usize) -> Self {
-        self.replay_workers = replay_workers;
         self
     }
 }
@@ -171,47 +148,10 @@ pub fn simulate_kernel_prepared(
         prepared.bases.clone(),
         opts.num_threads,
     );
-    let use_dense = matches!(opts.path, SimPath::Optimized | SimPath::Sharded)
+    let use_dense = opts.path == SimPath::Optimized
         && prepared.footprint_lines <= DENSE_LINE_LIMIT
         && opts.num_threads <= 64;
-    // Sharded requests resolve their shard plan up front; prefetch configs
-    // (next-line targets cross shard boundaries) and non-decomposable
-    // geometries fall back to the serial dense replay below, each under
-    // its own fallback counter.
-    let shard_plan = if use_dense && opts.path == SimPath::Sharded {
-        if opts.prefetch {
-            fs_obs::counters::SIM_SHARD_PREFETCH_FALLBACKS.inc();
-            None
-        } else {
-            let budget = if opts.replay_workers == 0 {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            } else {
-                opts.replay_workers
-            };
-            let plan = crate::shard::plan_shards(machine, budget);
-            if plan.is_none() {
-                fs_obs::counters::SIM_SHARD_GEOMETRY_FALLBACKS.inc();
-            }
-            plan
-        }
-    } else {
-        None
-    };
-    let stats = if let Some(shards) = shard_plan {
-        fs_obs::counters::SIM_DISPATCH_SHARDED.inc();
-        fs_obs::gauges::SIM_SHARD_COUNT.set(shards);
-        crate::shard::replay_sharded(
-            &gen,
-            opts.interleave,
-            &prepared.cplan,
-            machine,
-            opts.num_threads,
-            prepared.footprint_lines,
-            shards,
-        )
-    } else if use_dense {
+    let stats = if use_dense {
         fs_obs::counters::SIM_DISPATCH_DENSE.inc();
         let mut sim = DenseMultiCoreSim::new(machine, opts.num_threads, prepared.footprint_lines);
         if opts.prefetch {
@@ -222,7 +162,7 @@ pub fn simulate_kernel_prepared(
         });
         sim.into_stats()
     } else {
-        if opts.path != SimPath::Reference {
+        if opts.path == SimPath::Optimized {
             fs_obs::counters::SIM_DENSE_FALLBACKS.inc();
         }
         fs_obs::counters::SIM_DISPATCH_REFERENCE.inc();
@@ -245,10 +185,6 @@ pub fn simulate_kernel_prepared(
         fs_obs::counters::SIM_TRUE_SHARING.add(stats.total_true_sharing());
     }
     if let Some(t) = t_replay {
-        // Exactly one observation per replay — the merged wall time on the
-        // sharded path, never one per shard — so daemon `/metrics`
-        // quantiles stay comparable across paths (per-shard busy time has
-        // its own histogram, `sim.shard_busy_ns`).
         fs_obs::hists::SIM_REPLAY_NS.record_ns(t.elapsed().as_nanos() as u64);
     }
     stats
@@ -366,47 +302,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sharded_path_matches_optimized_dense() {
-        // The full oracle lives in tests/sim_shard_equivalence.rs; this is
-        // the fast in-crate smoke check on a shardable geometry.
-        let m = presets::generic_x86();
-        for k in [
-            kernels::transpose(32, 32, 1),
-            kernels::heat_diffusion(18, 18, 2),
-            kernels::dotprod_partials(4, 64, false),
-        ] {
-            let opts = SimOptions::new(4).without_prefetch();
-            let serial = simulate_kernel(&k, &m, opts.with_path(SimPath::Optimized));
-            let sharded = simulate_kernel(
-                &k,
-                &m,
-                opts.with_path(SimPath::Sharded).with_replay_workers(4),
-            );
-            assert_eq!(serial, sharded, "kernel={}", k.name);
-        }
-    }
-
-    #[test]
-    fn sharded_with_prefetch_or_flat_geometry_falls_back_identically() {
-        // Prefetch on (any machine) and tiny_test's fully associative
-        // caches (set-count gcd 1) both fall back to the serial dense
-        // replay — stats must still be identical to SimPath::Optimized.
-        let k = kernels::transpose(24, 24, 1);
-        for (m, opts) in [
-            (presets::generic_x86(), SimOptions::new(4)), // prefetch default-on
-            (presets::tiny_test(), SimOptions::new(4).without_prefetch()),
-        ] {
-            let serial = simulate_kernel(&k, &m, opts.with_path(SimPath::Optimized));
-            let sharded = simulate_kernel(
-                &k,
-                &m,
-                opts.with_path(SimPath::Sharded).with_replay_workers(4),
-            );
-            assert_eq!(serial, sharded, "machine={}", m.name);
         }
     }
 

@@ -39,25 +39,6 @@ impl ThreadStats {
     pub fn private_misses(&self) -> u64 {
         self.accesses - self.l1_hits - self.l2_hits
     }
-
-    /// Field-wise accumulate `other` into `self`. Every field is a pure
-    /// event count, so addition is exact and order-independent — the basis
-    /// of the sharded replay's bit-identical stats merge.
-    pub fn accumulate(&mut self, other: &ThreadStats) {
-        self.accesses += other.accesses;
-        self.l1_hits += other.l1_hits;
-        self.l2_hits += other.l2_hits;
-        self.l3_hits += other.l3_hits;
-        self.mem_fetches += other.mem_fetches;
-        self.coherence_misses += other.coherence_misses;
-        self.false_sharing_misses += other.false_sharing_misses;
-        self.true_sharing_misses += other.true_sharing_misses;
-        self.clean_transfers += other.clean_transfers;
-        self.upgrades += other.upgrades;
-        self.writebacks += other.writebacks;
-        self.prefetch_issued += other.prefetch_issued;
-        self.cycles += other.cycles;
-    }
 }
 
 /// Aggregated statistics of a multi-core simulation.
@@ -117,23 +98,6 @@ impl SimStats {
     /// Sum of all threads' memory cycles (total memory-system work).
     pub fn total_cycles(&self) -> u64 {
         self.sum(|t| t.cycles)
-    }
-
-    /// Fold another run's counters into this one: per-thread counts
-    /// accumulate field-wise, per-line FS attribution unions (keys from
-    /// different shards are disjoint, so this is a plain insert there), and
-    /// the global cold-miss count adds. Merging the per-shard stats of a
-    /// sharded replay (`SimPath::Sharded`) in any order reproduces the
-    /// serial replay's stats exactly.
-    pub fn merge(&mut self, other: &SimStats) {
-        assert_eq!(self.per_thread.len(), other.per_thread.len());
-        for (mine, theirs) in self.per_thread.iter_mut().zip(&other.per_thread) {
-            mine.accumulate(theirs);
-        }
-        for (&line, &n) in &other.fs_by_line {
-            *self.fs_by_line.entry(line).or_insert(0) += n;
-        }
-        self.cold_misses += other.cold_misses;
     }
 
     /// The `n` lines with the most false-sharing misses, descending.

@@ -6,7 +6,7 @@
 //!          [--format json|sarif|human] [--json]
 //!          [--advise] [--eliminate] [--sim] [--contention] [--baseline]
 //!          [--sweep] [--sweep-grid THREADS:CHUNKS] [--workers N]
-//!          [--sim-workers N] [--early-exit] [--const NAME=VALUE ...] [--list]
+//!          [--early-exit] [--const NAME=VALUE ...] [--list]
 //!          [--profile] [--trace-out FILE] [--quiet] [--verbose]
 //! ```
 //!
@@ -14,10 +14,9 @@
 //! (with `--advise`) a chunk-size recommendation. `--eliminate` runs the
 //! cost-model-driven mitigation search (padding vs rescheduling) and prints
 //! the transformed kernel. `--sim` replays the kernel through the MESI
-//! coherence simulator (`--sim-workers N` with `N >= 2` requests the
-//! set-sharded parallel replay — same stats, see `docs/SIM.md`);
-//! `--contention` prints the shared-cache and memory-bus interference
-//! estimates. `@name` loads a bundled corpus kernel (`--list` shows them).
+//! coherence simulator; `--contention` prints the shared-cache and
+//! memory-bus interference estimates. `@name` loads a bundled corpus
+//! kernel (`--list` shows them).
 //!
 //! `--sweep-grid 2,4,8:1,4,16` evaluates the kernel over a threads × chunks
 //! grid on the parallel memoized sweep engine (`--workers` sets the pool
@@ -87,7 +86,6 @@ struct Args {
     sweep: bool,
     sweep_grid: Option<(Vec<u32>, Vec<u64>)>,
     workers: Option<usize>,
-    sim_workers: usize,
     early_exit: bool,
     fs_path: fs_core::FsPath,
     format: Format,
@@ -103,8 +101,7 @@ fn usage() -> ! {
         "usage: fsdetect <kernel.loop | @bundled> [--threads N] [--machine paper48|generic|tiny]\n\
          \x20              [--predict RUNS] [--format json|sarif|human] [--json] [--advise]\n\
          \x20              [--eliminate] [--sim] [--contention] [--sweep]\n\
-         \x20              [--sweep-grid THREADS:CHUNKS] [--workers N] [--sim-workers N]\n\
-         \x20              [--early-exit]\n\
+         \x20              [--sweep-grid THREADS:CHUNKS] [--workers N] [--early-exit]\n\
          \x20              [--path analytic|symbolic|optimized|reference]\n\
          \x20              [--const NAME=VALUE ...] [--list]\n\
          \x20              [--profile] [--trace-out FILE] [--quiet] [--verbose]"
@@ -126,7 +123,6 @@ fn parse_args() -> Args {
         sweep: false,
         sweep_grid: None,
         workers: None,
-        sim_workers: 0,
         early_exit: false,
         fs_path: fs_core::FsPath::Symbolic,
         format: Format::Human,
@@ -169,12 +165,6 @@ fn parse_args() -> Args {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage()),
                 )
-            }
-            "--sim-workers" => {
-                args.sim_workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
             }
             "--early-exit" => args.early_exit = true,
             "--path" => {
@@ -286,7 +276,6 @@ fn main() -> ExitCode {
             predict: args.predict,
             early_exit: args.early_exit,
             workers: args.workers,
-            sim_workers: args.sim_workers,
             analyze: true,
             lint: true,
             timing: true,
@@ -367,10 +356,7 @@ fn main() -> ExitCode {
         print!("{}", extras::grid_section(r));
     }
     if args.sim {
-        print!(
-            "{}",
-            extras::sim_section(kernel, &machine, args.threads, args.sim_workers)
-        );
+        print!("{}", extras::sim_section(kernel, &machine, args.threads));
     }
     if args.advise {
         print!(

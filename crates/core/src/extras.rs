@@ -46,22 +46,8 @@ pub fn grid_section(r: &SweepGridResult) -> String {
 }
 
 /// The `--sim` section: replay through the MESI coherence simulator.
-/// `sim_workers >= 2` requests the set-sharded parallel replay with that
-/// worker budget (identical stats; prefetch and non-decomposable
-/// geometries fall back to the serial engine — see docs/SIM.md).
-pub fn sim_section(
-    kernel: &Kernel,
-    machine: &MachineConfig,
-    threads: u32,
-    sim_workers: usize,
-) -> String {
-    let mut opts = cache_sim::SimOptions::new(threads);
-    if sim_workers >= 2 {
-        opts = opts
-            .with_path(cache_sim::SimPath::Sharded)
-            .with_replay_workers(sim_workers);
-    }
-    let stats = cache_sim::simulate_kernel(kernel, machine, opts);
+pub fn sim_section(kernel: &Kernel, machine: &MachineConfig, threads: u32) -> String {
+    let stats = cache_sim::simulate_kernel(kernel, machine, cache_sim::SimOptions::new(threads));
     format!("-- MESI simulator (measured) --\n{stats}")
 }
 
@@ -307,14 +293,7 @@ mod tests {
     fn sections_render_their_headers() {
         let kernel = crate::corpus::corpus_kernel("histogram").unwrap();
         let m = machine::presets::paper48();
-        assert!(sim_section(&kernel, &m, 4, 0).starts_with("-- MESI simulator (measured) --"));
-        // The sharded request renders the same stats block (prefetch is on
-        // by default here, so the dispatcher falls back to the serial
-        // dense engine with identical stats).
-        assert_eq!(
-            sim_section(&kernel, &m, 4, 8),
-            sim_section(&kernel, &m, 4, 0)
-        );
+        assert!(sim_section(&kernel, &m, 4).starts_with("-- MESI simulator (measured) --"));
         assert!(advice_section(&kernel, &m, 4, None).contains("recommended chunk size:"));
         assert!(baseline_section(&kernel, &m, 4).contains("false-shared"));
         assert!(contention_section(&kernel, &m, 4).contains("memory bus:"));

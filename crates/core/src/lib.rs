@@ -57,7 +57,7 @@ pub use service::{
     KernelInput, KernelResult, Service, ServiceCache, ServiceOptions, ServiceRequest,
     ServiceResponse, FSD_VERSION,
 };
-pub use simharness::{run_indexed, sim_workers, split_workers};
+pub use simharness::{run_indexed, sim_workers};
 pub use sweep::{SweepEngine, SweepGridResult, SweepOutcome, SweepRunStats};
 pub use transform::{eliminate_false_sharing, pad_array, Candidate, MitigationReport};
 

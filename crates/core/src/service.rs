@@ -196,22 +196,25 @@ impl ServiceCache {
         self.shards.shard_for(key).lookup_point(key)
     }
 
-    /// Store a computed point result under its [`point_key`].
-    pub fn insert_point(&self, key: String, cost: LoopCost) {
-        self.shards.shard_for(key.as_str()).insert_point(key, cost);
+    /// Store a computed point result under its [`point_key`], returning
+    /// the LRU evictions this insert forced on its shard.
+    pub fn insert_point(&self, key: String, cost: LoopCost) -> u64 {
+        let evicted = self.shards.shard_for(key.as_str()).insert_point(key, cost);
         self.update_gauge();
+        evicted
     }
 
     /// The prepared (schedule-independent) inputs for `kernel` on
     /// `machine`, cached on the shard owning its [`prepared_key`]. The
     /// resolved FS path is part of the key (as for points), so toggling the
-    /// service's path between requests never aliases cached state.
+    /// service's path between requests never aliases cached state. Also
+    /// returns the LRU evictions a fresh entry forced (0 on a hit).
     pub fn prepared_for(
         &self,
         kernel: &Kernel,
         machine: &MachineConfig,
         path: FsPath,
-    ) -> PreparedKernel {
+    ) -> (PreparedKernel, u64) {
         let key = prepared_key(kernel, machine, path);
         let p = self
             .shards
@@ -288,13 +291,6 @@ pub struct ServiceOptions {
     pub early_exit: bool,
     /// Sweep worker-thread count (`None` = one per core).
     pub workers: Option<usize>,
-    /// Per-replay worker budget for simulator-backed sections (fsdetect
-    /// `--sim`). `0` or `1` keeps the serial dense replay; `>= 2` requests
-    /// the set-sharded parallel replay (`SimPath::Sharded`) with that many
-    /// shard workers. Prefetch configs and non-decomposable cache
-    /// geometries still fall back to the serial engine with identical
-    /// stats (see `docs/SIM.md`, "Sharded replay").
-    pub sim_workers: usize,
     /// Include the Eq. 1 analysis report per kernel.
     pub analyze: bool,
     /// Include the symbolic lint report per kernel.
@@ -319,7 +315,6 @@ impl Default for ServiceOptions {
             predict: None,
             early_exit: false,
             workers: None,
-            sim_workers: 0,
             analyze: true,
             lint: true,
             timing: false,
@@ -808,7 +803,7 @@ impl Service {
             None => {
                 obs::counters::SVC_CACHE_MISSES.inc();
                 timing.cache_misses += 1;
-                let prep = self.cache.prepared_for(kernel, machine, path);
+                let (prep, _) = self.cache.prepared_for(kernel, machine, path);
                 let c = compute_point(kernel, machine, threads, mode, path, &prep);
                 self.cache.insert_point(key, c.clone());
                 c
@@ -859,14 +854,14 @@ pub struct ParsedRequest {
 ///  "machines": ["paper48"], "threads": 8,
 ///  "grid": {"threads": [2,4,8], "chunks": [1,4,16]},
 ///  "consts": {"N": 64}, "predict": 32, "early_exit": false,
-///  "workers": 4, "sim_workers": 8, "timing": false, "stream": false}
+///  "workers": 4, "timing": false, "stream": false}
 /// ```
 ///
 /// `cmd` defaults to `analyze`; `machine` (singular, a string) is accepted
 /// as shorthand for a one-entry `machines`. `path` selects the FS-model
 /// path (`"symbolic"` — the default — `"analytic"`, `"optimized"`, or
-/// `"reference"`). `sim_workers` sets the per-replay worker budget for
-/// simulator-backed veneers (`>= 2` requests the set-sharded replay).
+/// `"reference"`). `sim_workers` is accepted for protocol compatibility
+/// and ignored: it must still be a non-negative integer.
 /// Unknown commands and malformed fields are errors — the daemon reports
 /// them without dying.
 pub fn parse_request(v: &JsonValue) -> Result<ParsedRequest, String> {
@@ -965,10 +960,8 @@ pub fn parse_request(v: &JsonValue) -> Result<ParsedRequest, String> {
         opts.workers = Some(w.max(1) as usize);
     }
     if let Some(w) = v.get("sim_workers") {
-        let w = w
-            .as_u64()
+        w.as_u64()
             .ok_or("'sim_workers' must be a non-negative integer")?;
-        opts.sim_workers = usize::try_from(w).map_err(|_| "'sim_workers' is out of range")?;
     }
     if let Some(t) = v.get("timing") {
         opts.timing = t.as_bool().ok_or("'timing' must be a boolean")?;
@@ -1141,6 +1134,55 @@ mod tests {
         // @histogram's schedule is (static, 1), threads default 8 — the
         // same point identity the first request cached.
         assert!(sweep.memo_hits > 0, "grid reuses the analyze point");
+    }
+
+    #[test]
+    fn grid_memo_tallies_stay_exact_under_concurrent_lookups() {
+        // A cold grid of tens of milliseconds spans several scheduler time
+        // slices, so a second thread released by the same barrier overlaps
+        // it even on one core. That thread hammers hits and misses on the
+        // shared cache until the grid returns; none may leak into the
+        // grid's own tallies.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        let svc = Service::new();
+        let warm = svc.handle(&histogram_request());
+        let cost = warm.results[0].report.as_ref().unwrap().cost.clone();
+        svc.cache().insert_point("probe-hit".to_string(), cost);
+        let req = ServiceRequest {
+            kernels: vec![KernelInput::named("@stencil")],
+            grid: Some((vec![2, 4, 8], vec![1, 2, 4, 8, 16])),
+            ..ServiceRequest::default()
+        };
+        let quiet = Service::new().handle(&req);
+        let quiet = quiet.sweep.as_ref().unwrap();
+        assert_eq!(quiet.memo_hits + quiet.memo_misses, 15);
+
+        let barrier = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        let (resp, lookups) = std::thread::scope(|s| {
+            let hammer = s.spawn(|| {
+                barrier.wait();
+                let mut n = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    assert!(svc.cache().lookup_point("probe-hit").is_some());
+                    assert!(svc.cache().lookup_point("probe-miss").is_none());
+                    n += 2;
+                }
+                n
+            });
+            barrier.wait();
+            let resp = svc.handle(&req);
+            done.store(true, Ordering::Release);
+            (resp, hammer.join().unwrap())
+        });
+        assert!(lookups > 0, "the hammer never overlapped the grid");
+        let sweep = resp.sweep.as_ref().unwrap();
+        assert_eq!(
+            (sweep.memo_hits, sweep.memo_misses),
+            (quiet.memo_hits, quiet.memo_misses),
+            "{lookups} concurrent lookups leaked into the grid's tallies"
+        );
     }
 
     #[test]

@@ -56,24 +56,6 @@ where
         .collect()
 }
 
-/// Split one worker budget between the two levels of measured-side
-/// parallelism — point-level fan-out ([`run_indexed`]) and per-point
-/// sharded replay (`SimOptions::replay_workers`) — so they compose without
-/// oversubscribing [`sim_workers`]: the grid gets `min(points, budget)`
-/// workers, and whatever the fan-out cannot use goes to each point's
-/// replay. The product `point_workers * replay_workers` never exceeds
-/// `max(budget, 1)`.
-///
-/// Callers must pass the returned replay share down explicitly (through
-/// `SimOptions`) rather than re-reading `FS_SIM_WORKERS` per point — the
-/// env var describes the *total* budget, not each level's.
-pub fn split_workers(points: usize, budget: usize) -> (usize, usize) {
-    let budget = budget.max(1);
-    let point_workers = budget.min(points.max(1));
-    let replay_workers = (budget / point_workers).max(1);
-    (point_workers, replay_workers)
-}
-
 /// Worker count for the measured-side harness: the `FS_SIM_WORKERS`
 /// environment variable when set (0 or unparsable → serial), otherwise the
 /// machine's available parallelism.
@@ -107,26 +89,6 @@ mod tests {
     fn empty_and_single_grids() {
         assert_eq!(run_indexed(0, 8, |i| i), Vec::<usize>::new());
         assert_eq!(run_indexed(1, 8, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn split_workers_never_oversubscribes() {
-        for points in 0..20 {
-            for budget in 0..20 {
-                let (pw, rw) = split_workers(points, budget);
-                assert!(pw >= 1 && rw >= 1);
-                assert!(
-                    pw * rw <= budget.max(1),
-                    "points={points} budget={budget} -> {pw}x{rw}"
-                );
-            }
-        }
-        // Wide grids take the whole budget at the point level...
-        assert_eq!(split_workers(91, 8), (8, 1));
-        // ...narrow grids hand the slack to each point's sharded replay.
-        assert_eq!(split_workers(2, 8), (2, 4));
-        assert_eq!(split_workers(1, 8), (1, 8));
-        assert_eq!(split_workers(3, 8), (3, 2));
     }
 
     #[test]

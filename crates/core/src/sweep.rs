@@ -95,12 +95,13 @@ impl SweepRunStats {
 #[derive(Debug, Clone)]
 pub struct SweepGridResult {
     pub outcomes: Vec<SweepOutcome>,
-    /// Memo hits/misses accumulated by this run alone.
+    /// Memo hits/misses of this run's own point lookups (one per point),
+    /// exact even while other requests share the cache.
     pub memo_hits: u64,
     pub memo_misses: u64,
-    /// LRU evictions forced by the cache byte budget during this run.
-    /// Eviction order depends on worker interleaving, so this lives in
-    /// [`Self::stats_json`], never [`Self::to_json`].
+    /// LRU evictions this run's own inserts forced under the cache byte
+    /// budget. Eviction order depends on worker interleaving, so this
+    /// lives in [`Self::stats_json`], never [`Self::to_json`].
     pub memo_evictions: u64,
     /// Cache resident / peak bytes after the run (aggregate over shards).
     pub memo_bytes: u64,
@@ -156,6 +157,18 @@ impl SweepGridResult {
             .field("slowest_points", JsonValue::Arr(slowest))
     }
 }
+
+/// One point's own memo traffic: whether its lookup hit, and the LRU
+/// evictions its inserts forced. Summed per run, these keep a run's memo
+/// tallies exact while concurrent requests share the cache.
+#[derive(Debug, Clone, Copy)]
+struct PointMemo {
+    hit: bool,
+    evictions: u64,
+}
+
+/// An evaluated point with its wall time (ns) and memo traffic.
+type TimedPoint = (SweepOutcome, u64, PointMemo);
 
 /// Sweep executor: the worker policy plus a shared [`ServiceCache`] memo —
 /// its own by default, or one handed in via [`Self::with_cache`] (the
@@ -278,26 +291,32 @@ impl SweepEngine {
         } else {
             self.workers.min(points.len()) as u64
         });
-        let before = self.memo.stats();
         let timed = if sequential {
             self.run_points_sequential(grid, &points)
         } else {
             self.run_points_parallel(grid, &points)
         };
-        let after = self.memo.stats();
         let mut outcomes = Vec::with_capacity(timed.len());
         let mut point_wall_ns = Vec::with_capacity(timed.len());
-        for (o, ns) in timed {
+        let (mut memo_hits, mut memo_misses, mut memo_evictions) = (0, 0, 0);
+        for (o, ns, memo) in timed {
             outcomes.push(o);
             point_wall_ns.push(ns);
+            if memo.hit {
+                memo_hits += 1;
+            } else {
+                memo_misses += 1;
+            }
+            memo_evictions += memo.evictions;
         }
+        let cache = self.memo.stats();
         Ok(SweepGridResult {
             outcomes,
-            memo_hits: after.hits - before.hits,
-            memo_misses: after.misses - before.misses,
-            memo_evictions: after.evictions - before.evictions,
-            memo_bytes: after.bytes,
-            memo_peak_bytes: after.peak_bytes,
+            memo_hits,
+            memo_misses,
+            memo_evictions,
+            memo_bytes: cache.bytes,
+            memo_peak_bytes: cache.peak_bytes,
             stats: SweepRunStats {
                 wall_ns: run_start.elapsed().as_nanos() as u64,
                 point_wall_ns,
@@ -306,57 +325,55 @@ impl SweepEngine {
     }
 
     /// [`Self::eval_one`] with its wall time and per-point span/counter.
-    fn eval_timed(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> (SweepOutcome, u64) {
+    fn eval_timed(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> TimedPoint {
         let _span = fs_obs::span("sweep.point");
         fs_obs::counters::SWEEP_POINTS.inc();
         let start = Instant::now();
-        let outcome = self.eval_one(grid, spec);
+        let (outcome, memo) = self.eval_one(grid, spec);
         let ns = start.elapsed().as_nanos() as u64;
         fs_obs::hists::SWEEP_POINT_NS.record_ns(ns);
-        (outcome, ns)
+        (outcome, ns, memo)
     }
 
     /// One point: shard-locked memo lookups, computation outside any lock,
-    /// so workers only serialize on same-shard cache bookkeeping.
-    fn eval_one(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> SweepOutcome {
+    /// so workers only serialize on same-shard cache bookkeeping. Reports
+    /// this point's own memo traffic alongside the outcome.
+    fn eval_one(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> (SweepOutcome, PointMemo) {
         let (kname, kernel) = &grid.kernels[spec.kernel];
         let (mname, machine) = &grid.machines[spec.machine];
         let k = kernel_at_chunk(kernel, spec.chunk);
         let key = point_key(&k, machine, spec.threads, &self.mode, self.path);
-        let cost = match self.memo.lookup_point(&key) {
-            Some(c) => c,
+        let (cost, hit, evictions) = match self.memo.lookup_point(&key) {
+            Some(c) => (c, true, 0),
             None => {
-                let prep = self.memo.prepared_for(&k, machine, self.path);
+                let (prep, prep_evictions) = self.memo.prepared_for(&k, machine, self.path);
                 let c = compute_point(&k, machine, spec.threads, self.mode, self.path, &prep);
-                self.memo.insert_point(key, c.clone());
-                c
+                let evictions = prep_evictions + self.memo.insert_point(key, c.clone());
+                (c, false, evictions)
             }
         };
-        SweepOutcome {
+        let outcome = SweepOutcome {
             kernel: kname.clone(),
             machine: mname.clone(),
             threads: spec.threads,
             chunk: spec.chunk,
             cost,
-        }
+        };
+        (outcome, PointMemo { hit, evictions })
     }
 
     fn run_points_sequential(
         &self,
         grid: &SweepGrid,
         points: &[SweepPointSpec],
-    ) -> Vec<(SweepOutcome, u64)> {
+    ) -> Vec<TimedPoint> {
         points.iter().map(|p| self.eval_timed(grid, p)).collect()
     }
 
-    fn run_points_parallel(
-        &self,
-        grid: &SweepGrid,
-        points: &[SweepPointSpec],
-    ) -> Vec<(SweepOutcome, u64)> {
+    fn run_points_parallel(&self, grid: &SweepGrid, points: &[SweepPointSpec]) -> Vec<TimedPoint> {
         let n = points.len();
         let pool = ThreadPool::new(self.workers.min(n));
-        let mut slots: Vec<Option<(SweepOutcome, u64)>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<TimedPoint>> = (0..n).map(|_| None).collect();
         {
             let shared = SharedSlice::new(&mut slots);
             let next = AtomicUsize::new(0);

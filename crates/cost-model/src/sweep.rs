@@ -418,11 +418,13 @@ impl MemoCache {
         self.recency = live.into();
     }
 
-    /// Evict least-recently-used entries until the cache fits its budget.
-    fn enforce_budget(&mut self) {
+    /// Evict least-recently-used entries until the cache fits its budget,
+    /// returning how many were evicted.
+    fn enforce_budget(&mut self) -> u64 {
         let Some(budget) = self.budget else {
-            return;
+            return 0;
         };
+        let mut evicted = 0;
         while self.bytes > budget {
             let Some((stamp, kind, key)) = self.recency.pop_front() else {
                 break;
@@ -448,15 +450,18 @@ impl MemoCache {
             if let Some(b) = freed {
                 self.bytes -= b;
                 self.evictions += 1;
+                evicted += 1;
                 fs_obs::counters::SWEEP_MEMO_EVICTIONS.inc();
             }
         }
+        evicted
     }
 
-    fn account_insert(&mut self, bytes: u64) {
+    /// Charge a new entry's bytes, returning the evictions it forced.
+    fn account_insert(&mut self, bytes: u64) -> u64 {
         self.bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.bytes);
-        self.enforce_budget();
+        self.enforce_budget()
     }
 
     /// Look up a point result by its [`point_key`], counting a hit or miss.
@@ -479,8 +484,9 @@ impl MemoCache {
         }
     }
 
-    /// Store a computed point result under its [`point_key`].
-    pub fn insert_point(&mut self, key: String, cost: LoopCost) {
+    /// Store a computed point result under its [`point_key`], returning
+    /// the LRU evictions this insert forced.
+    pub fn insert_point(&mut self, key: String, cost: LoopCost) -> u64 {
         let stamp = self.tick();
         let bytes = cost_bytes(&cost) + key.len() as u64;
         self.touch(EntryKind::Point, &key, stamp);
@@ -494,7 +500,7 @@ impl MemoCache {
         ) {
             self.bytes -= old.bytes;
         }
-        self.account_insert(bytes);
+        self.account_insert(bytes)
     }
 
     /// The prepared (schedule-independent) inputs for `kernel` on
@@ -507,23 +513,24 @@ impl MemoCache {
         path: FsPath,
     ) -> PreparedKernel {
         let key = prepared_key(kernel, machine, path);
-        self.prepared_for_keyed(key, kernel, machine)
+        self.prepared_for_keyed(key, kernel, machine).0
     }
 
     /// [`Self::prepared_for`] with the [`prepared_key`] already computed —
     /// sharded caches route by the key and must not fingerprint twice.
+    /// Also returns the LRU evictions a fresh entry forced (0 on a hit).
     pub fn prepared_for_keyed(
         &mut self,
         key: String,
         kernel: &Kernel,
         machine: &MachineConfig,
-    ) -> PreparedKernel {
+    ) -> (PreparedKernel, u64) {
         let stamp = self.tick();
         if let Some(e) = self.prepared.get_mut(&key) {
             e.stamp = stamp;
             let p = e.value.clone();
             self.touch(EntryKind::Prepared, &key, stamp);
-            return p;
+            return (p, 0);
         }
         let p = PreparedKernel::new(kernel, machine);
         let bytes = prepared_bytes(&p) + key.len() as u64;
@@ -536,8 +543,8 @@ impl MemoCache {
                 stamp,
             },
         );
-        self.account_insert(bytes);
-        p
+        let evicted = self.account_insert(bytes);
+        (p, evicted)
     }
 }
 

@@ -275,8 +275,8 @@ impl Daemon {
     /// The `stats` response: shard count, aggregated cache stats (lifetime
     /// hits/misses/evictions plus resident and peak bytes), the default
     /// FS-model path with its lifetime dispatch/fallback tallies, the
-    /// simulator's replay dispatch tallies (dense / sharded / reference
-    /// plus the sharded path's prefetch and geometry fallbacks), the
+    /// simulator's replay dispatch tallies (dense / reference plus the
+    /// dense path's footprint-limit fallbacks), the
     /// process-wide request counter, daemon uptime, per-command tallies
     /// (obs-independent), and request-latency quantiles.
     pub fn stats_json(&self) -> JsonValue {
@@ -326,22 +326,13 @@ impl Daemon {
                     .field("replays", obs::counters::SIM_REPLAYS.get())
                     .field("dispatch_dense", obs::counters::SIM_DISPATCH_DENSE.get())
                     .field(
-                        "dispatch_sharded",
-                        obs::counters::SIM_DISPATCH_SHARDED.get(),
-                    )
-                    .field(
                         "dispatch_reference",
                         obs::counters::SIM_DISPATCH_REFERENCE.get(),
                     )
                     .field(
-                        "shard_prefetch_fallbacks",
-                        obs::counters::SIM_SHARD_PREFETCH_FALLBACKS.get(),
-                    )
-                    .field(
-                        "shard_geometry_fallbacks",
-                        obs::counters::SIM_SHARD_GEOMETRY_FALLBACKS.get(),
-                    )
-                    .field("shard_count", obs::gauges::SIM_SHARD_COUNT.get()),
+                        "dense_limit_fallbacks",
+                        obs::counters::SIM_DENSE_FALLBACKS.get(),
+                    ),
             )
             .field("requests", obs::counters::SVC_REQUESTS.get())
             .field(
@@ -699,18 +690,20 @@ mod tests {
         let v = fs_core::json::parse(String::from_utf8(out).unwrap().trim()).unwrap();
         assert_eq!(v.get("event").and_then(|v| v.as_str()), Some("stats"));
         assert!(v.get("cache").and_then(|c| c.get("bytes")).is_some());
-        let sim = v.get("sim").expect("stats carry a sim block");
-        for key in [
-            "replays",
-            "dispatch_dense",
-            "dispatch_sharded",
-            "dispatch_reference",
-            "shard_prefetch_fallbacks",
-            "shard_geometry_fallbacks",
-            "shard_count",
-        ] {
-            assert!(sim.get(key).and_then(|v| v.as_u64()).is_some(), "{key}");
-        }
+        let Some(JsonValue::Obj(sim)) = v.get("sim") else {
+            panic!("stats carry a sim block");
+        };
+        let keys: Vec<&str> = sim.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "replays",
+                "dispatch_dense",
+                "dispatch_reference",
+                "dense_limit_fallbacks"
+            ]
+        );
+        assert!(sim.iter().all(|(_, v)| v.as_u64().is_some()), "{sim:?}");
     }
 
     #[test]

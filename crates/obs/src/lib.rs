@@ -303,19 +303,6 @@ pub mod counters {
     pub static SIM_DENSE_FALLBACKS: Counter = Counter::new("sim.dense_limit_fallbacks");
     /// Experiment points evaluated by the parallel measured-side harness.
     pub static SIM_POINTS: Counter = Counter::new("sim.points_evaluated");
-    /// Replays answered by the set-sharded parallel dense simulator.
-    pub static SIM_DISPATCH_SHARDED: Counter = Counter::new("sim.dispatch_sharded");
-    /// Sharded-path requests that fell back to the serial dense replay
-    /// because the prefetcher was enabled (next-line prefetch crosses shard
-    /// boundaries); such runs also count in `sim.dispatch_dense`.
-    pub static SIM_SHARD_PREFETCH_FALLBACKS: Counter = Counter::new("sim.shard_prefetch_fallbacks");
-    /// Sharded-path requests that fell back because no shard count >= 2
-    /// divides every cache level's set count (fully associative levels,
-    /// prime set counts); such runs also count in `sim.dispatch_dense`.
-    pub static SIM_SHARD_GEOMETRY_FALLBACKS: Counter = Counter::new("sim.shard_geometry_fallbacks");
-    /// Trace blocks partitioned into per-shard batches by the sharded
-    /// replay producer.
-    pub static SIM_SHARD_BLOCKS: Counter = Counter::new("sim.shard_blocks");
     /// Memo-cache entries evicted to stay under the byte budget.
     pub static SWEEP_MEMO_EVICTIONS: Counter = Counter::new("sweep.memo_evictions");
     /// Service-layer requests handled (CLI one-shots and daemon submissions).
@@ -327,7 +314,7 @@ pub mod counters {
     /// Service requests that returned an error envelope.
     pub static SVC_ERRORS: Counter = Counter::new("svc.errors");
 
-    pub(super) static ALL: [&Counter; 37] = [
+    pub(super) static ALL: [&Counter; 33] = [
         &SWEEP_MEMO_HITS,
         &SWEEP_MEMO_MISSES,
         &SWEEP_POINTS,
@@ -356,10 +343,6 @@ pub mod counters {
         &SIM_DISPATCH_REFERENCE,
         &SIM_DENSE_FALLBACKS,
         &SIM_POINTS,
-        &SIM_DISPATCH_SHARDED,
-        &SIM_SHARD_PREFETCH_FALLBACKS,
-        &SIM_SHARD_GEOMETRY_FALLBACKS,
-        &SIM_SHARD_BLOCKS,
         &SWEEP_MEMO_EVICTIONS,
         &SVC_REQUESTS,
         &SVC_CACHE_HITS,
@@ -378,16 +361,13 @@ pub mod gauges {
     pub static SWEEP_GRID_POINTS: Gauge = Gauge::new("sweep.grid_points");
     /// Worker-thread count of the most recent measured-side harness run.
     pub static SIM_WORKERS: Gauge = Gauge::new("sim.workers");
-    /// Shard count of the most recent sharded replay dispatch.
-    pub static SIM_SHARD_COUNT: Gauge = Gauge::new("sim.shard_count");
     /// Resident bytes of the shared service memo cache (post-request).
     pub static SVC_CACHE_BYTES: Gauge = Gauge::new("svc.cache_bytes");
 
-    pub(super) static ALL: [&Gauge; 5] = [
+    pub(super) static ALL: [&Gauge; 4] = [
         &SWEEP_WORKERS,
         &SWEEP_GRID_POINTS,
         &SIM_WORKERS,
-        &SIM_SHARD_COUNT,
         &SVC_CACHE_BYTES,
     ];
 }
@@ -410,18 +390,13 @@ pub mod hists {
     /// One analytic (reuse-distance) FS-model evaluation, the closed-form
     /// portion only — a subset of the matching `fs.model_ns` observation.
     pub static FS_ANALYTIC_NS: Histogram = Histogram::new("fs.analytic_ns");
-    /// One shard worker's busy time inside a sharded replay (from first
-    /// batch wait to stats hand-off) — `sim.replay_ns` still gets exactly
-    /// one merged-wall-time observation per replay.
-    pub static SIM_SHARD_BUSY_NS: Histogram = Histogram::new("sim.shard_busy_ns");
 
-    pub(super) static ALL: [&Histogram; 6] = [
+    pub(super) static ALL: [&Histogram; 5] = [
         &SVC_REQUEST_NS,
         &SWEEP_POINT_NS,
         &FS_MODEL_NS,
         &SIM_REPLAY_NS,
         &FS_ANALYTIC_NS,
-        &SIM_SHARD_BUSY_NS,
     ];
 }
 

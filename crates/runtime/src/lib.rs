@@ -10,9 +10,6 @@
 //!   implicitly.
 //! * [`cache`] — a generic sharded-mutex container ([`Sharded`]) for caches
 //!   shared across worker threads without a single global lock.
-//! * [`spsc`] — bounded single-producer single-consumer queues
-//!   ([`SpscQueue`]), the batch conduit between the sharded-replay
-//!   partitioner and its shard workers.
 //! * [`kernels`] — native implementations of the paper's kernels (and
 //!   padded variants) that really false-share on the host machine.
 //! * [`measure()`] — wall-clock measurement with warmup and repetition.
@@ -23,11 +20,9 @@ pub mod measure;
 pub mod parallel_for;
 pub mod pool;
 pub mod shared;
-pub mod spsc;
 
 pub use cache::Sharded;
 pub use measure::{measure, relative_overhead, Measurement};
 pub use parallel_for::{chunks_of_thread, parallel_for_each, parallel_for_static};
 pub use pool::ThreadPool;
 pub use shared::SharedSlice;
-pub use spsc::SpscQueue;

@@ -93,43 +93,6 @@ impl ThreadPool {
         self.run(job);
     }
 
-    /// Like [`Self::run_scoped`], but the *calling thread* runs `feeder`
-    /// concurrently with the workers — the producer/consumer shape of the
-    /// sharded replay, where the caller partitions the trace into queues
-    /// the workers drain. Returns once `feeder` has returned and every
-    /// worker has finished `job`.
-    pub fn run_scoped_with<'env, F, P>(&self, job: F, feeder: P)
-    where
-        F: Fn(usize) + Send + Sync + 'env,
-        P: FnOnce(),
-    {
-        // SAFETY: the Drain guard below blocks until every worker has
-        // signalled completion — on normal return *and* if `feeder`
-        // unwinds — so no reference escapes 'env.
-        let job: Box<dyn Fn(usize) + Send + Sync + 'env> = Box::new(job);
-        let job: Box<dyn Fn(usize) + Send + Sync + 'static> = unsafe { std::mem::transmute(job) };
-        let job: Job = Arc::from(job);
-        for tx in &self.senders {
-            tx.send(Msg::Run(Arc::clone(&job))).expect("worker died");
-        }
-        struct Drain<'a> {
-            pool: &'a ThreadPool,
-            pending: usize,
-        }
-        impl Drop for Drain<'_> {
-            fn drop(&mut self) {
-                for _ in 0..self.pending {
-                    self.pool.done_rx.recv().expect("worker died");
-                }
-            }
-        }
-        let _barrier = Drain {
-            pool: self,
-            pending: self.senders.len(),
-        };
-        feeder();
-    }
-
     /// Static round-robin parallel-for on the pool.
     pub fn parallel_for<'env, F>(&self, trip: u64, chunk: u64, body: F)
     where
@@ -195,42 +158,6 @@ mod tests {
         });
         let v: Vec<u64> = data.iter().map(|a| a.load(Ordering::Relaxed)).collect();
         assert_eq!(v, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn run_scoped_with_overlaps_feeder_and_workers() {
-        let pool = ThreadPool::new(3);
-        let fed = Arc::new(AtomicU64::new(0));
-        let drained = AtomicU64::new(0);
-        pool.run_scoped_with(
-            |_t| {
-                // Each worker spins until the feeder has produced, proving
-                // the feeder really runs concurrently with the jobs.
-                while fed.load(Ordering::Acquire) == 0 {
-                    std::thread::yield_now();
-                }
-                drained.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                fed.store(1, Ordering::Release);
-            },
-        );
-        assert_eq!(drained.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn run_scoped_with_barrier_precedes_return() {
-        let pool = ThreadPool::new(4);
-        for _ in 0..20 {
-            let hits = AtomicU64::new(0);
-            pool.run_scoped_with(
-                |_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                },
-                || {},
-            );
-            assert_eq!(hits.load(Ordering::Relaxed), 4);
-        }
     }
 
     #[test]

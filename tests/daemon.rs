@@ -187,6 +187,25 @@ fn concurrent_clients_get_identical_bytes_with_zero_new_misses() {
 }
 
 #[test]
+fn ignored_sim_workers_field_leaves_the_envelope_unchanged() {
+    // `sim_workers` is accepted and ignored for protocol compatibility:
+    // cold servers answer the request with it byte-for-byte as without it,
+    // and a malformed value is still a request error.
+    let plain = analyze_request(&["@histogram"], true);
+    let with_field = |v: JsonValue| parse(&plain).unwrap().field("sim_workers", v).render();
+    let (a, b) = (TestServer::start(), TestServer::start());
+    let reference = a.round_trip(&plain);
+    assert_eq!(b.round_trip(&with_field(8u64.into())), reference);
+    let bad = a.round_trip(&with_field(JsonValue::Str("eight".into())));
+    assert!(
+        bad.contains("'sim_workers' must be a non-negative integer"),
+        "{bad}"
+    );
+    a.stop();
+    b.stop();
+}
+
+#[test]
 fn one_connection_can_issue_many_requests_and_streams() {
     let server = TestServer::start();
     let mut stream = server.connect();

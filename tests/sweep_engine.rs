@@ -198,18 +198,32 @@ fn concurrent_runs_account_every_lookup() {
         doc[at..].to_string()
     }
     let want = results_payload(reference.to_json().render());
+    let (mut run_hits, mut run_misses) = (0, 0);
     for h in handles {
         let r = h.join().expect("concurrent run panicked");
         assert_eq!(results_payload(r.to_json().render()), want);
+        // Each run tallies exactly its own lookups, one per point.
+        assert_eq!(r.memo_hits + r.memo_misses, n);
+        run_hits += r.memo_hits;
+        run_misses += r.memo_misses;
     }
 
     let (hits, misses) = engine.memo_stats();
     // Every lookup is either a hit or a miss — the race may recompute a
     // point more than once (miss before another thread's insert lands),
-    // but it can never lose accounting.
+    // but it can never lose accounting, and the runs' own tallies add up
+    // to the cache's lifetime counts.
     assert_eq!(hits + misses, RUNS * n, "hits {hits} + misses {misses}");
+    assert_eq!((run_hits, run_misses), (hits, misses));
     assert!(misses >= n, "at least one full grid of cold misses");
-    assert!(hits >= n, "later runs hit the shared cache");
+    // How many racing lookups hit depends on scheduling; once the racers
+    // are done the cache is warm, so a later run is all hits.
+    let later = engine.run(&grid).unwrap();
+    assert_eq!(
+        (later.memo_hits, later.memo_misses),
+        (n, 0),
+        "later runs hit the shared cache"
+    );
 }
 
 #[test]
