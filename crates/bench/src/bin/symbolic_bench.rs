@@ -5,8 +5,10 @@
 //! Two gates, both required for exit 0:
 //!
 //! 1. **Fallback rate**: every bundled corpus kernel must dispatch
-//!    symbolically — `fs.symbolic_fallbacks` must not move — and the
-//!    symbolic counts must equal the dense counts exactly.
+//!    symbolically — `fs.symbolic_fallbacks` must not move — the
+//!    symbolic counts must equal the dense counts exactly, and
+//!    [`cost_model::capacity_prediction`] must predict its capacity misses
+//!    (the reuse-distance analysis covers the same corpus).
 //! 2. **Speedup**: on large in-fragment kernels (many outer iterations, so
 //!    the dense walk replays millions of steps while the symbolic path
 //!    verifies one steady-state window and extrapolates), the aggregate
@@ -15,7 +17,9 @@
 //! Prints per-point timings and writes `BENCH_symbolic.json` (uploaded as a
 //! CI artifact next to the other bench artifacts).
 
-use cost_model::{run_fs_model_prepared, FsModelConfig, FsPath};
+use cost_model::{
+    capacity_prediction, run_fs_model_prepared, CacheGeometry, FsModelConfig, FsPath,
+};
 use fs_core::{machines, JsonValue};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -92,6 +96,7 @@ fn main() -> ExitCode {
     let threads = 8u32;
     let ls = machine.line_size();
     let cfg = FsModelConfig::for_machine(&machine, threads);
+    let geometry = CacheGeometry::for_machine(&machine);
     let gate = gate();
 
     // -- Gate 1: zero symbolic fallbacks over the bundled corpus ----------
@@ -106,9 +111,17 @@ fn main() -> ExitCode {
         let fell = fallbacks() - before;
         let (_, dense_cases) = time_path(&p, &cfg, FsPath::Optimized, 1);
         let exact = sym_cases == dense_cases;
-        println!("{name:<12} symbolic cases {sym_cases:>8}  fallbacks {fell}  exact {exact}");
-        if fell > 0 || !exact {
-            eprintln!("symbolic_bench: {name} fell off the symbolic path or diverged");
+        let capacity = capacity_prediction(&p.kernel, &cfg, &geometry, &p.plan, &p.bases);
+        let predicted = capacity.is_some();
+        println!(
+            "{name:<12} symbolic cases {sym_cases:>8}  fallbacks {fell}  exact {exact}  \
+             capacity {predicted}"
+        );
+        if fell > 0 || !exact || !predicted {
+            eprintln!(
+                "symbolic_bench: {name} fell off the symbolic path, diverged, \
+                 or has no capacity prediction"
+            );
             corpus_ok = false;
         }
     }

@@ -377,6 +377,59 @@ mod tests {
         assert_eq!(json_number("{\"k\":-1.5e3}", "k"), Some(-1500.0));
     }
 
+    /// Regenerate the 8-thread row of a Tables IV-VI style table and
+    /// compare it byte for byte with its line in the committed results.
+    fn assert_prediction_row_matches_golden(
+        title: &str,
+        mk: impl Fn(u64, u32) -> Kernel + Sync,
+        chunks: (u64, u64),
+        nominal_runs: u64,
+    ) {
+        let golden = include_str!("../../../bench_results_all_experiments.txt");
+        let table = golden
+            .split("## ")
+            .find(|t| t.starts_with(title))
+            .unwrap_or_else(|| panic!("{title}: not in the committed results"));
+        let want = table
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some("8"))
+            .unwrap_or_else(|| panic!("{title}: no 8-thread row"));
+        let rows = prediction_table(mk, chunks, &paper48(), &[8], nominal_runs);
+        let rendered = render_prediction(title, &rows);
+        let got = rendered.lines().last().unwrap();
+        assert_eq!(got, want, "{title}: 8-thread row drifted");
+    }
+
+    #[test]
+    fn table4_heat_prediction_row_matches_golden() {
+        assert_prediction_row_matches_golden(
+            "Table IV: predicted vs modeled FS cases, heat diffusion (nominal 20 chunk runs)",
+            scale::heat,
+            scale::HEAT_CHUNKS,
+            20,
+        );
+    }
+
+    #[test]
+    fn table5_dft_prediction_row_matches_golden() {
+        assert_prediction_row_matches_golden(
+            "Table V: predicted vs modeled FS cases, DFT (nominal 50 chunk runs)",
+            scale::dft,
+            scale::DFT_CHUNKS,
+            50,
+        );
+    }
+
+    #[test]
+    fn table6_linreg_prediction_row_matches_golden() {
+        assert_prediction_row_matches_golden(
+            "Table VI: predicted vs modeled FS cases, linear regression (nominal 10 chunk runs)",
+            scale::linreg,
+            scale::LINREG_CHUNKS,
+            10,
+        );
+    }
+
     #[test]
     fn render_contains_all_rows() {
         let rows = vec![FsEffectRow {

@@ -102,7 +102,7 @@ fn usage() -> ! {
          \x20              [--predict RUNS] [--format json|sarif|human] [--json] [--advise]\n\
          \x20              [--eliminate] [--sim] [--contention] [--sweep]\n\
          \x20              [--sweep-grid THREADS:CHUNKS] [--workers N] [--early-exit]\n\
-         \x20              [--path analytic|symbolic|optimized|reference]\n\
+         \x20              [--path symbolic|optimized|reference]\n\
          \x20              [--const NAME=VALUE ...] [--list]\n\
          \x20              [--profile] [--trace-out FILE] [--quiet] [--verbose]"
     );

@@ -205,17 +205,11 @@ impl ServiceCache {
     }
 
     /// The prepared (schedule-independent) inputs for `kernel` on
-    /// `machine`, cached on the shard owning its [`prepared_key`]. The
-    /// resolved FS path is part of the key (as for points), so toggling the
-    /// service's path between requests never aliases cached state. Also
-    /// returns the LRU evictions a fresh entry forced (0 on a hit).
-    pub fn prepared_for(
-        &self,
-        kernel: &Kernel,
-        machine: &MachineConfig,
-        path: FsPath,
-    ) -> (PreparedKernel, u64) {
-        let key = prepared_key(kernel, machine, path);
+    /// `machine`, cached on the shard owning its [`prepared_key`] and
+    /// shared by every FS path. Also returns the LRU evictions a fresh
+    /// entry forced (0 on a hit).
+    pub fn prepared_for(&self, kernel: &Kernel, machine: &MachineConfig) -> (PreparedKernel, u64) {
+        let key = prepared_key(kernel, machine);
         let p = self
             .shards
             .shard_for(key.as_str())
@@ -303,8 +297,7 @@ pub struct ServiceOptions {
     /// defaults to [`FsPath::Symbolic`]: in-fragment kernels get exact
     /// closed-form counts in O(1) per point, and out-of-fragment kernels
     /// fall back to the dense path with identical counts (see
-    /// `fs.symbolic_fallbacks`). [`FsPath::Analytic`] additionally attaches
-    /// the reuse-distance capacity prediction (see `fs.analytic_fallbacks`).
+    /// `fs.symbolic_fallbacks`).
     pub path: FsPath,
 }
 
@@ -803,7 +796,7 @@ impl Service {
             None => {
                 obs::counters::SVC_CACHE_MISSES.inc();
                 timing.cache_misses += 1;
-                let (prep, _) = self.cache.prepared_for(kernel, machine, path);
+                let (prep, _) = self.cache.prepared_for(kernel, machine);
                 let c = compute_point(kernel, machine, threads, mode, path, &prep);
                 self.cache.insert_point(key, c.clone());
                 c
@@ -859,8 +852,9 @@ pub struct ParsedRequest {
 ///
 /// `cmd` defaults to `analyze`; `machine` (singular, a string) is accepted
 /// as shorthand for a one-entry `machines`. `path` selects the FS-model
-/// path (`"symbolic"` — the default — `"analytic"`, `"optimized"`, or
-/// `"reference"`). `sim_workers` is accepted for protocol compatibility
+/// path (`"symbolic"` — the default — `"optimized"`, or `"reference"`;
+/// `"analytic"` is an alias of `"symbolic"` and `"dense"` of
+/// `"optimized"`). `sim_workers` is accepted for protocol compatibility
 /// and ignored: it must still be a non-negative integer.
 /// Unknown commands and malformed fields are errors — the daemon reports
 /// them without dying.
@@ -968,9 +962,8 @@ pub fn parse_request(v: &JsonValue) -> Result<ParsedRequest, String> {
     }
     if let Some(p) = v.get("path") {
         let s = p.as_str().ok_or("'path' must be a string")?;
-        opts.path = FsPath::parse(s).ok_or_else(|| {
-            format!("unknown path '{s}' (analytic | symbolic | optimized | reference)")
-        })?;
+        opts.path = FsPath::parse(s)
+            .ok_or_else(|| format!("unknown path '{s}' (symbolic | optimized | reference)"))?;
     }
     if let Some(c) = v.get("consts") {
         let JsonValue::Obj(fields) = c else {
@@ -1207,6 +1200,41 @@ mod tests {
             ra.to_json().get("fs_path").and_then(|v| v.as_str()),
             Some("symbolic")
         );
+    }
+
+    #[test]
+    fn fs_path_names_the_engine_that_ran() {
+        // Triangular inner bounds sit outside the symbolic fragment, so the
+        // default symbolic request runs on the dense engine.
+        let tri = "kernel tri {
+  array A[32][32]: f64;
+  parallel for i in 0..32 schedule(static, 2) {
+    for j in 0..i + 1 {
+      A[i][j] = 1.0;
+    }
+  }
+}";
+        let req = ServiceRequest {
+            kernels: vec![
+                KernelInput::inline("tri.loop", tri),
+                KernelInput::named("@histogram"),
+            ],
+            ..ServiceRequest::default()
+        };
+        assert_eq!(req.options.path, FsPath::Symbolic);
+        let resp = Service::new().handle(&req);
+        let paths: Vec<String> = resp
+            .results
+            .iter()
+            .map(|r| {
+                let json = r.report.as_ref().expect("analyzed").to_json();
+                json.get("fs_path")
+                    .and_then(|v| v.as_str())
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(paths, ["optimized", "symbolic"]);
     }
 
     #[test]

@@ -346,7 +346,7 @@ impl SweepEngine {
         let (cost, hit, evictions) = match self.memo.lookup_point(&key) {
             Some(c) => (c, true, 0),
             None => {
-                let (prep, prep_evictions) = self.memo.prepared_for(&k, machine, self.path);
+                let (prep, prep_evictions) = self.memo.prepared_for(&k, machine);
                 let c = compute_point(&k, machine, spec.threads, self.mode, self.path, &prep);
                 let evictions = prep_evictions + self.memo.insert_point(key, c.clone());
                 (c, false, evictions)

@@ -1,10 +1,9 @@
-//! The [`crate::fs::FsPath::Analytic`] evaluation path: closed-form
-//! reuse-distance shared-cache analysis.
+//! Closed-form reuse-distance shared-cache analysis.
 //!
-//! The symbolic path (PR 7) made the *coherence* side of the FS model
+//! The symbolic engine made the *coherence* side of the FS model
 //! closed-form; capacity misses still required dense trace replay. This
-//! module removes that last replay: it derives per-thread **reuse-distance
-//! histograms** directly from the strength-reduced affine
+//! module predicts them without a replay: it derives per-thread
+//! **reuse-distance histograms** directly from the strength-reduced affine
 //! [`loop_ir::CompiledPlan`] streams — no trace is ever materialized — and
 //! composes them across the team in the style of Barai et al., *Modeling
 //! Shared Cache Performance of OpenMP Programs using Reuse Distance*: under
@@ -37,21 +36,19 @@
 //! The totals are *predictive*, not count-exact: `docs/MODEL.md` states the
 //! accuracy-vs-exactness contract, and `tests/analytic_accuracy.rs` holds
 //! the predictions to a relative-error bound against the dense MESI
-//! simulator. The coherence side reuses [`crate::symbolic`] verbatim, so FS
-//! counts on this path stay exact. Anything outside the decidable fragment
-//! (non-constant bounds, truncated runs, no machine geometry) returns
-//! `None` and the dispatcher falls back densely, counted by
-//! `fs.analytic_fallbacks`.
+//! simulator. Anything outside the decidable fragment (non-constant bounds,
+//! truncated runs) returns `None`. The FS counts themselves come from the
+//! FS-model engines ([`crate::fs::FsPath`]); this module only adds the
+//! capacity side, through [`capacity_prediction`] and, for the FS005 lint,
+//! [`chunk_footprint`].
 
-use crate::fs::{FsModelConfig, FsModelResult};
+use crate::fs::FsModelConfig;
 use loop_ir::{AccessPlan, Kernel};
 use std::collections::HashMap;
 
-/// Compact cache-hierarchy shape the analytic path predicts against:
-/// per-level line capacities plus the sharing cluster width. Carried on
-/// [`FsModelConfig::geometry`] (populated by
-/// [`FsModelConfig::for_machine`]); hand-built configs without it fall
-/// back densely.
+/// Compact cache-hierarchy shape the capacity prediction runs against:
+/// per-level line capacities plus the sharing cluster width. Build it with
+/// [`CacheGeometry::for_machine`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheGeometry {
     /// Levels from L1 outward.
@@ -60,7 +57,7 @@ pub struct CacheGeometry {
     pub cluster_size: u32,
 }
 
-/// One cache level as the analytic path sees it.
+/// One cache level as the capacity prediction sees it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelGeometry {
     /// Display name (`"L1d"`, `"L2"`, ...), echoed in reports.
@@ -91,8 +88,8 @@ impl CacheGeometry {
     }
 }
 
-/// Closed-form shared-cache capacity prediction attached to
-/// [`FsModelResult`] by the analytic path (`None` on every other path).
+/// Closed-form shared-cache capacity prediction of one full loop (see
+/// [`capacity_prediction`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapacityPrediction {
     /// Exact total memory accesses the full loop performs (all threads).
@@ -124,23 +121,6 @@ impl CapacityPrediction {
             .map(|&(_, m)| m)
             .sum()
     }
-}
-
-/// Full analytic evaluation: exact closed-form coherence counts (the
-/// symbolic engine) plus the reuse-distance capacity prediction. `None`
-/// outside the decidable fragment of either part.
-pub(crate) fn run_analytic(
-    kernel: &Kernel,
-    cfg: &FsModelConfig,
-    plan: &AccessPlan,
-    bases: &[u64],
-) -> Option<FsModelResult> {
-    let _span = fs_obs::span("fs.analytic");
-    let geometry = cfg.geometry.as_ref()?;
-    let capacity = capacity_prediction(kernel, cfg, geometry, plan, bases)?;
-    let mut result = crate::symbolic::run_symbolic(kernel, cfg, plan, bases)?;
-    result.capacity = Some(capacity);
-    Some(result)
 }
 
 /// One virtual-nest level: iteration count and the per-iteration byte
@@ -659,15 +639,23 @@ impl ChunkFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::{run_fs_model, FsPath};
     use cache_sim::{simulate_kernel, SimOptions};
     use loop_ir::kernels;
-    use machine::presets;
+    use machine::{presets, MachineConfig};
 
-    fn cfg(threads: u32, path: FsPath) -> FsModelConfig {
-        let mut c = FsModelConfig::for_machine(&presets::paper48(), threads);
-        c.path = path;
-        c
+    /// The full-loop capacity prediction of `k` on `machine`.
+    fn predict(
+        k: &Kernel,
+        cfg: &FsModelConfig,
+        machine: &MachineConfig,
+    ) -> Option<CapacityPrediction> {
+        let geometry = CacheGeometry::for_machine(machine);
+        let bases = k.array_bases(cfg.line_size);
+        capacity_prediction(k, cfg, &geometry, &k.access_plan(), &bases)
+    }
+
+    fn cfg(threads: u32) -> FsModelConfig {
+        FsModelConfig::for_machine(&presets::paper48(), threads)
     }
 
     fn corpus() -> Vec<loop_ir::Kernel> {
@@ -698,11 +686,9 @@ mod tests {
         for machine in [presets::paper48(), presets::generic_x86()] {
             for k in &corpus() {
                 for t in [4u32, 8] {
-                    let mut c = FsModelConfig::for_machine(&machine, t);
-                    c.path = FsPath::Analytic;
-                    let r = run_fs_model(k, &c);
-                    let cap = r.capacity.as_ref().unwrap_or_else(|| {
-                        panic!("{} T{t}: corpus kernel fell off the analytic path", k.name)
+                    let c = FsModelConfig::for_machine(&machine, t);
+                    let cap = predict(k, &c, &machine).unwrap_or_else(|| {
+                        panic!("{} T{t}: corpus kernel has no capacity prediction", k.name)
                     });
                     let stats = simulate_kernel(k, &machine, SimOptions::new(t).without_prefetch());
                     let acc: u64 = stats.per_thread.iter().map(|s| s.accesses).sum();
@@ -741,24 +727,6 @@ mod tests {
         }
     }
 
-    /// Coherence counts on the analytic path are exactly the reference
-    /// counts: the capacity prediction rides on top without perturbing the
-    /// FS model.
-    #[test]
-    fn analytic_counts_match_reference() {
-        for k in &corpus() {
-            let mut got = run_fs_model(k, &cfg(8, FsPath::Analytic));
-            assert!(
-                got.capacity.is_some(),
-                "{}: expected analytic dispatch",
-                k.name
-            );
-            got.capacity = None;
-            let want = run_fs_model(k, &cfg(8, FsPath::Reference));
-            assert_eq!(got, want, "{}: counts diverge from reference", k.name);
-        }
-    }
-
     /// Structural invariants of a capacity prediction: per-level misses are
     /// monotonically non-increasing with depth, memory fetches equal the
     /// last level's misses, and the distinct-line estimate never exceeds
@@ -766,8 +734,7 @@ mod tests {
     #[test]
     fn capacity_prediction_invariants() {
         for k in &corpus() {
-            let r = run_fs_model(k, &cfg(4, FsPath::Analytic));
-            let cap = r.capacity.expect("corpus kernel dispatches analytically");
+            let cap = predict(k, &cfg(4), &presets::paper48()).expect("corpus kernel predicts");
             assert!(!cap.level_misses.is_empty());
             for w in cap.level_misses.windows(2) {
                 assert!(
@@ -783,31 +750,15 @@ mod tests {
         }
     }
 
-    /// Without cache geometry the analytic path must fall back — and the
-    /// fallback result is count-identical to the reference path with no
-    /// capacity attachment.
-    #[test]
-    fn missing_geometry_falls_back() {
-        let k = kernels::saxpy(512, 4);
-        let mut c = cfg(4, FsPath::Analytic);
-        c.geometry = None;
-        let got = run_fs_model(&k, &c);
-        assert!(got.capacity.is_none());
-        assert_eq!(got, run_fs_model(&k, &cfg(4, FsPath::Reference)));
-    }
-
     /// Truncated runs (`max_chunk_runs`) leave the decidable fragment: the
     /// closed forms assume the full iteration space.
     #[test]
     fn truncated_runs_fall_back() {
         let k = kernels::saxpy(512, 4);
-        let mut c = cfg(4, FsPath::Analytic);
+        let mut c = cfg(4);
+        assert!(predict(&k, &c, &presets::paper48()).is_some());
         c.max_chunk_runs = Some(2);
-        let got = run_fs_model(&k, &c);
-        assert!(got.capacity.is_none());
-        let mut r = cfg(4, FsPath::Reference);
-        r.max_chunk_runs = Some(2);
-        assert_eq!(got, run_fs_model(&k, &r));
+        assert!(predict(&k, &c, &presets::paper48()).is_none());
     }
 
     /// Chunk footprints grow monotonically and `max_chunk_fitting` is the

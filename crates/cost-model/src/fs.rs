@@ -21,7 +21,7 @@
 //! regression predictor uses), and records the cumulative FS count at every
 //! *chunk run* boundary, the series behind Fig. 6.
 //!
-//! Two implementations of the same model are provided, selected by
+//! Three engines compute the same model, selected by
 //! [`FsModelConfig::path`]:
 //!
 //! * [`FsPath::Optimized`] (the default) strength-reduces every access's
@@ -33,6 +33,9 @@
 //!   algorithm over hash maps. It is the executable specification: the
 //!   optimized path must produce *identical* counts, which the equivalence
 //!   property tests and `fs_model_bench` enforce.
+//! * [`FsPath::Symbolic`] derives the counts in closed form inside the
+//!   decidable affine fragment ([`crate::symbolic`]) and falls back to the
+//!   optimized path outside it.
 //!
 //! Faithfulness notes:
 //! * Like the paper, the per-thread cache states are independent LRU stacks;
@@ -62,11 +65,16 @@ pub const MAX_MODEL_THREADS: u32 = 64;
 /// to the reference path rather than allocating per-thread flat tables.
 const DENSE_LINE_LIMIT: u64 = 1 << 22;
 
-/// Which implementation of the FS-model hot loop to run. All produce
-/// identical counts; they differ only in speed.
+/// Which FS-model engine to run. The engines compute the same model, so a
+/// full-loop run ([`run_fs_model`]) gives identical counts on every path.
+/// The path is still not a pure speed knob: [`crate::predict_fs`] returns
+/// exact closed-form counts on [`FsPath::Symbolic`] but a §III-E regression
+/// fit on the other two, so a predicted result depends on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FsPath {
     /// Strength-reduced address streams + dense line tables (default).
+    /// Kernels whose footprint exceeds the dense-table limit run on
+    /// [`FsPath::Reference`] instead.
     #[default]
     Optimized,
     /// The hash-map transcription of the paper's algorithm, kept as the
@@ -75,16 +83,9 @@ pub enum FsPath {
     /// Closed-form chunk-boundary reasoning: inside the decidable affine
     /// fragment the per-period FS deltas are derived once and extrapolated
     /// (see [`crate::symbolic`]); outside it, dispatch falls back to
-    /// [`FsPath::Optimized`] exactly as `fslint` falls back to Unknown.
+    /// [`FsPath::Optimized`] exactly as `fslint` falls back to Unknown
+    /// (counted by `fs.symbolic_fallbacks`).
     Symbolic,
-    /// The symbolic coherence engine plus a closed-form **reuse-distance**
-    /// capacity prediction (see [`crate::analytic`]): per-thread
-    /// reuse-distance histograms derived from the strength-reduced affine
-    /// streams and composed Barai-style across the shared cache, attached
-    /// as [`FsModelResult::capacity`]. Falls back to [`FsPath::Optimized`]
-    /// outside the decidable fragment (counted by `fs.analytic_fallbacks`);
-    /// fallback runs carry no capacity prediction.
-    Analytic,
 }
 
 impl FsPath {
@@ -95,17 +96,18 @@ impl FsPath {
             FsPath::Optimized => "optimized",
             FsPath::Reference => "reference",
             FsPath::Symbolic => "symbolic",
-            FsPath::Analytic => "analytic",
         }
     }
 
-    /// Inverse of [`FsPath::as_str`].
+    /// Inverse of [`FsPath::as_str`], plus two aliases: `"dense"` for
+    /// `optimized`, and `"analytic"` for `symbolic` (the name of a former
+    /// path that ran the symbolic engine plus a capacity prediction no
+    /// caller read; old clients keep working).
     pub fn parse(s: &str) -> Option<FsPath> {
         match s {
             "optimized" | "dense" => Some(FsPath::Optimized),
             "reference" => Some(FsPath::Reference),
-            "symbolic" => Some(FsPath::Symbolic),
-            "analytic" => Some(FsPath::Analytic),
+            "symbolic" | "analytic" => Some(FsPath::Symbolic),
             _ => None,
         }
     }
@@ -143,13 +145,8 @@ pub struct FsModelConfig {
     /// Ablation: clear the remote Modified mark when a conflict is
     /// detected (approximating the invalidation a real protocol performs).
     pub invalidate_on_detect: bool,
-    /// Implementation to run (identical counts either way).
+    /// Engine to run (identical counts either way).
     pub path: FsPath,
-    /// Cache-hierarchy shape for the analytic reuse-distance path.
-    /// Populated by [`FsModelConfig::for_machine`]; `None` (hand-built
-    /// configs) sends [`FsPath::Analytic`] requests down the dense
-    /// fallback.
-    pub geometry: Option<crate::analytic::CacheGeometry>,
 }
 
 impl FsModelConfig {
@@ -167,7 +164,6 @@ impl FsModelConfig {
             count_true_sharing: false,
             invalidate_on_detect: false,
             path: FsPath::default(),
-            geometry: Some(crate::analytic::CacheGeometry::for_machine(machine)),
         }
     }
 
@@ -532,11 +528,6 @@ pub struct FsModelResult {
     pub total_chunk_runs: u64,
     /// Chunk runs actually evaluated.
     pub evaluated_chunk_runs: u64,
-    /// Closed-form capacity prediction (reuse-distance histograms, per-level
-    /// misses). `Some` only on successful [`FsPath::Analytic`] runs; every
-    /// other path — including analytic fallbacks — leaves it `None`, so
-    /// cross-path count-equality comparisons are unaffected.
-    pub capacity: Option<crate::analytic::CapacityPrediction>,
 }
 
 impl FsModelResult {
@@ -573,7 +564,6 @@ impl FsModelResult {
             iterations: 0,
             total_chunk_runs: 0,
             evaluated_chunk_runs: 0,
-            capacity: None,
         }
     }
 
@@ -620,62 +610,79 @@ pub fn run_fs_model_prepared(
     plan: &AccessPlan,
     bases: &[u64],
 ) -> FsModelResult {
+    dispatch_fs_model(kernel, cfg, plan, bases).0
+}
+
+/// [`run_fs_model_prepared`], also returning the engine that actually ran:
+/// the requested [`FsModelConfig::path`] unless it fell back (symbolic
+/// outside its fragment runs dense, dense past the line limit runs
+/// reference).
+pub(crate) fn dispatch_fs_model(
+    kernel: &Kernel,
+    cfg: &FsModelConfig,
+    plan: &AccessPlan,
+    bases: &[u64],
+) -> (FsModelResult, FsPath) {
     assert!(
         cfg.num_threads <= MAX_MODEL_THREADS,
         "team size {} exceeds the modelable maximum of {MAX_MODEL_THREADS} threads \
          (use fs_core::try_analyze for a recoverable error)",
         cfg.num_threads
     );
-    fs_obs::counters::FS_MODEL_RUNS.inc();
     // Clock reads only when the registry is live: the disabled path must
     // stay branch-only (the FS_OBS_GATE guarantee).
     let t_run = fs_obs::counters_enabled().then(std::time::Instant::now);
-    let result = match cfg.path {
-        FsPath::Reference => {
-            fs_obs::counters::FS_DISPATCH_REFERENCE.inc();
-            run_fs_model_reference(kernel, cfg, plan, bases)
-        }
-        FsPath::Symbolic => match crate::symbolic::run_symbolic(kernel, cfg, plan, bases) {
-            Some(r) => {
-                fs_obs::counters::FS_DISPATCH_SYMBOLIC.inc();
-                r
-            }
-            None => {
-                fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
-                run_dense_or_reference(kernel, cfg, plan, bases)
-            }
+    let (result, engine) = match cfg.path {
+        FsPath::Reference => (
+            run_fs_model_reference(kernel, cfg, plan, bases),
+            FsPath::Reference,
+        ),
+        FsPath::Symbolic => match try_symbolic(kernel, cfg, plan, bases) {
+            Some(r) => (r, FsPath::Symbolic),
+            None => run_dense_or_reference(kernel, cfg, plan, bases),
         },
-        FsPath::Analytic => {
-            // Times only the closed-form evaluation — fallbacks are dense
-            // runs and report under `fs.model_ns` alone.
-            let t_an = fs_obs::counters_enabled().then(std::time::Instant::now);
-            match crate::analytic::run_analytic(kernel, cfg, plan, bases) {
-                Some(r) => {
-                    fs_obs::counters::FS_DISPATCH_ANALYTIC.inc();
-                    if let Some(t) = t_an {
-                        fs_obs::hists::FS_ANALYTIC_NS.record_ns(t.elapsed().as_nanos() as u64);
-                    }
-                    r
-                }
-                None => {
-                    fs_obs::counters::FS_ANALYTIC_FALLBACKS.inc();
-                    run_dense_or_reference(kernel, cfg, plan, bases)
-                }
-            }
-        }
         FsPath::Optimized => run_dense_or_reference(kernel, cfg, plan, bases),
     };
-    // One flush per model run: the hot loop never touches the registry.
+    record_model_run(&result, engine);
+    if let Some(t) = t_run {
+        fs_obs::hists::FS_MODEL_NS.record_ns(t.elapsed().as_nanos() as u64);
+    }
+    (result, engine)
+}
+
+/// The symbolic engine, counting a decline in `fs.symbolic_fallbacks`.
+/// `None` outside the decidable fragment; the caller picks the fallback.
+pub(crate) fn try_symbolic(
+    kernel: &Kernel,
+    cfg: &FsModelConfig,
+    plan: &AccessPlan,
+    bases: &[u64],
+) -> Option<FsModelResult> {
+    let r = crate::symbolic::run_symbolic(kernel, cfg, plan, bases);
+    if r.is_none() {
+        fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
+    }
+    r
+}
+
+/// Account one finished model run on `engine`: `fs.model_runs`, the
+/// engine's `fs.dispatch_*` counter, and one flush of the run's totals (the
+/// hot loop never touches the registry). Every full model run passes
+/// through here exactly once, so `fs.dispatch_dense + fs.dispatch_reference
+/// + fs.dispatch_symbolic = fs.model_runs` holds by construction.
+pub(crate) fn record_model_run(result: &FsModelResult, engine: FsPath) {
+    fs_obs::counters::FS_MODEL_RUNS.inc();
+    match engine {
+        FsPath::Optimized => fs_obs::counters::FS_DISPATCH_DENSE.inc(),
+        FsPath::Reference => fs_obs::counters::FS_DISPATCH_REFERENCE.inc(),
+        FsPath::Symbolic => fs_obs::counters::FS_DISPATCH_SYMBOLIC.inc(),
+    }
     if fs_obs::counters_enabled() {
         fs_obs::counters::FS_CASES.add(result.fs_cases);
         fs_obs::counters::FS_EVENTS.add(result.fs_events);
         fs_obs::counters::FS_STEPS.add(result.steps);
         fs_obs::counters::FS_ITERATIONS.add(result.iterations);
     }
-    if let Some(t) = t_run {
-        fs_obs::hists::FS_MODEL_NS.record_ns(t.elapsed().as_nanos() as u64);
-    }
-    result
 }
 
 /// The [`FsPath::Optimized`] dispatch: dense tables when the footprint
@@ -685,15 +692,19 @@ fn run_dense_or_reference(
     cfg: &FsModelConfig,
     plan: &AccessPlan,
     bases: &[u64],
-) -> FsModelResult {
+) -> (FsModelResult, FsPath) {
     let footprint_lines = crate::footprint::line_footprint(kernel, cfg.line_size);
     if footprint_lines > DENSE_LINE_LIMIT {
         fs_obs::counters::FS_DENSE_FALLBACKS.inc();
-        fs_obs::counters::FS_DISPATCH_REFERENCE.inc();
-        run_fs_model_reference(kernel, cfg, plan, bases)
+        (
+            run_fs_model_reference(kernel, cfg, plan, bases),
+            FsPath::Reference,
+        )
     } else {
-        fs_obs::counters::FS_DISPATCH_DENSE.inc();
-        run_fs_model_optimized(kernel, cfg, plan, bases, footprint_lines)
+        (
+            run_fs_model_optimized(kernel, cfg, plan, bases, footprint_lines),
+            FsPath::Optimized,
+        )
     }
 }
 

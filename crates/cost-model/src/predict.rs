@@ -3,7 +3,9 @@
 //! extrapolate to the whole loop, avoiding the full
 //! `All_num_of_iters / num_threads` evaluation.
 
-use crate::fs::{run_fs_model_prepared, FsModelConfig, FsModelResult, FsPath};
+use crate::fs::{
+    dispatch_fs_model, record_model_run, try_symbolic, FsModelConfig, FsModelResult, FsPath,
+};
 use loop_ir::{AccessPlan, Kernel};
 
 /// Least-squares fit `y = a*x + b`.
@@ -103,7 +105,7 @@ pub fn predict_fs(kernel: &Kernel, cfg: &FsModelConfig, chunk_runs: u64) -> Opti
 }
 
 /// [`predict_fs`] with the schedule-independent access plan and array bases
-/// precomputed (see [`run_fs_model_prepared`]).
+/// precomputed (see [`crate::run_fs_model_prepared`]).
 pub fn predict_fs_prepared(
     kernel: &Kernel,
     cfg: &FsModelConfig,
@@ -111,26 +113,30 @@ pub fn predict_fs_prepared(
     plan: &AccessPlan,
     bases: &[u64],
 ) -> Option<FsPrediction> {
+    predict_dispatch(kernel, cfg, chunk_runs, plan, bases).map(|(p, _)| p)
+}
+
+/// [`predict_fs_prepared`], also returning the engine that produced the
+/// prediction's model run (see [`crate::fs::dispatch_fs_model`]).
+pub(crate) fn predict_dispatch(
+    kernel: &Kernel,
+    cfg: &FsModelConfig,
+    chunk_runs: u64,
+    plan: &AccessPlan,
+    bases: &[u64],
+) -> Option<(FsPrediction, FsPath)> {
     let _span = fs_obs::span("predict.fit");
     // On the symbolic path the full closed-form evaluation is as cheap as a
     // truncated sample, so regression buys nothing: return the exact counts
     // in place of a fit. Falls through to the sampled regression when the
     // kernel sits outside the decidable fragment.
     if cfg.path == FsPath::Symbolic {
-        if let Some(full) = crate::symbolic::run_symbolic(kernel, cfg, plan, bases) {
-            // A full model run in its own right: mirror the dispatcher's
-            // accounting so `fs.dispatch_* = fs.model_runs` stays true.
-            fs_obs::counters::FS_MODEL_RUNS.inc();
-            fs_obs::counters::FS_DISPATCH_SYMBOLIC.inc();
-            if fs_obs::counters_enabled() {
-                fs_obs::counters::FS_CASES.add(full.fs_cases);
-                fs_obs::counters::FS_EVENTS.add(full.fs_events);
-                fs_obs::counters::FS_STEPS.add(full.steps);
-                fs_obs::counters::FS_ITERATIONS.add(full.iterations);
-            }
+        if let Some(full) = try_symbolic(kernel, cfg, plan, bases) {
+            // A full model run in its own right.
+            record_model_run(&full, FsPath::Symbolic);
             let cases = full.fs_cases as f64;
             let x_max = full.total_chunk_runs;
-            return Some(FsPrediction {
+            let prediction = FsPrediction {
                 chunk_runs_evaluated: full.evaluated_chunk_runs,
                 total_chunk_runs: x_max,
                 predicted_cases: cases,
@@ -144,50 +150,19 @@ pub fn predict_fs_prepared(
                 },
                 exact: true,
                 sample: full,
-            });
+            };
+            return Some((prediction, FsPath::Symbolic));
         }
-        fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
-    }
-    // Same short-circuit for the analytic path: the closed-form evaluation
-    // is full-loop and exact on the coherence side, so it replaces the fit
-    // outright (and additionally carries the capacity prediction).
-    if cfg.path == FsPath::Analytic {
-        if let Some(full) = crate::analytic::run_analytic(kernel, cfg, plan, bases) {
-            fs_obs::counters::FS_MODEL_RUNS.inc();
-            fs_obs::counters::FS_DISPATCH_ANALYTIC.inc();
-            if fs_obs::counters_enabled() {
-                fs_obs::counters::FS_CASES.add(full.fs_cases);
-                fs_obs::counters::FS_EVENTS.add(full.fs_events);
-                fs_obs::counters::FS_STEPS.add(full.steps);
-                fs_obs::counters::FS_ITERATIONS.add(full.iterations);
-            }
-            let cases = full.fs_cases as f64;
-            let x_max = full.total_chunk_runs;
-            return Some(FsPrediction {
-                chunk_runs_evaluated: full.evaluated_chunk_runs,
-                total_chunk_runs: x_max,
-                predicted_cases: cases,
-                predicted_events: full.fs_events as f64,
-                fit: LinearFit {
-                    a: cases / x_max.max(1) as f64,
-                    b: 0.0,
-                    r2: 1.0,
-                },
-                exact: true,
-                sample: full,
-            });
-        }
-        fs_obs::counters::FS_ANALYTIC_FALLBACKS.inc();
     }
     fs_obs::counters::PREDICT_FITS.inc();
     let mut sample_cfg = cfg.clone();
-    if matches!(sample_cfg.path, FsPath::Symbolic | FsPath::Analytic) {
+    if sample_cfg.path == FsPath::Symbolic {
         // Already fell off the closed-form fragment above; sample densely
         // rather than re-attempting (and re-counting) the fragment gate.
         sample_cfg.path = FsPath::Optimized;
     }
     sample_cfg.max_chunk_runs = Some(chunk_runs.max(2));
-    let sample = run_fs_model_prepared(kernel, &sample_cfg, plan, bases);
+    let (sample, engine) = dispatch_fs_model(kernel, &sample_cfg, plan, bases);
     let all: Vec<(f64, f64)> = sample
         .series
         .iter()
@@ -207,7 +182,7 @@ pub fn predict_fs_prepared(
         least_squares(&ev_points[tail_start.min(ev_points.len().saturating_sub(2))..])
             .map(|f| f.predict(x_max as f64).max(0.0))
             .unwrap_or(sample.fs_events as f64);
-    Some(FsPrediction {
+    let prediction = FsPrediction {
         chunk_runs_evaluated: sample.evaluated_chunk_runs,
         total_chunk_runs: x_max,
         predicted_cases: predicted,
@@ -215,7 +190,8 @@ pub fn predict_fs_prepared(
         fit,
         exact: false,
         sample,
-    })
+    };
+    Some((prediction, engine))
 }
 
 #[cfg(test)]
@@ -304,6 +280,26 @@ mod tests {
         let k = kernels::dft(128, 256, 1);
         let pred = predict_fs(&k, &cfg(8), 96).unwrap();
         assert!(!pred.exact);
+    }
+
+    /// Why `point_key` keeps the FS path: on the same in-fragment kernel,
+    /// `Symbolic` predicts the exact full-model count while `Optimized`
+    /// fits a regression to a truncated sample.
+    #[test]
+    fn path_decides_exact_or_fitted_prediction() {
+        let k = kernels::heat_diffusion(34, 258, 1);
+        let mut c = cfg(8);
+        c.path = FsPath::Symbolic;
+        let exact = predict_fs(&k, &c, 8).expect("symbolic prediction");
+        assert!(exact.exact);
+        assert_eq!(
+            exact.predicted_cases,
+            crate::fs::run_fs_model(&k, &c).fs_cases as f64
+        );
+        c.path = FsPath::Optimized;
+        let fitted = predict_fs(&k, &c, 8).expect("regression prediction");
+        assert!(!fitted.exact);
+        assert_ne!(fitted.predicted_cases, exact.predicted_cases);
     }
 
     #[test]

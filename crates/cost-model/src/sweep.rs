@@ -506,13 +506,8 @@ impl MemoCache {
     /// The prepared (schedule-independent) inputs for `kernel` on
     /// `machine`, computed on first request and shared by every chunk and
     /// team-size variant of the kernel afterwards.
-    pub fn prepared_for(
-        &mut self,
-        kernel: &Kernel,
-        machine: &MachineConfig,
-        path: FsPath,
-    ) -> PreparedKernel {
-        let key = prepared_key(kernel, machine, path);
+    pub fn prepared_for(&mut self, kernel: &Kernel, machine: &MachineConfig) -> PreparedKernel {
+        let key = prepared_key(kernel, machine);
         self.prepared_for_keyed(key, kernel, machine).0
     }
 
@@ -552,23 +547,24 @@ impl MemoCache {
 /// inputs — schedule-normalized, so every (threads, chunk) point of a
 /// kernel shares one entry. Public so sharded caches can route by it.
 ///
-/// The prepared inputs themselves (access plan, array bases, `Machine_c`)
-/// do not depend on the FS-model path, but the resolved path is part of the
-/// key anyway so point and prepared identity stay uniform: toggling the
-/// path between runs can never alias *any* cached state.
-pub fn prepared_key(kernel: &Kernel, machine: &MachineConfig, path: FsPath) -> String {
+/// The prepared inputs (access plan, array bases, `Machine_c`) do not
+/// depend on the FS-model path, so every path shares one entry.
+pub fn prepared_key(kernel: &Kernel, machine: &MachineConfig) -> String {
     format!(
-        "{}|{}|p{}",
+        "{}|{}",
         fingerprint(&schedule_normalized(kernel)),
-        fingerprint(machine),
-        path
+        fingerprint(machine)
     )
 }
 
-/// The content fingerprint identifying one grid point's full result. The
-/// resolved FS-model path is part of the identity — a symbolic and a dense
-/// evaluation of the same point are distinct entries, so switching the
-/// service's path never serves a result computed on another path.
+/// The content fingerprint identifying one grid point's full result.
+///
+/// The requested FS-model path is part of the identity because it changes
+/// the value of a predicted point: [`crate::predict_fs`] returns exact
+/// closed-form counts on [`FsPath::Symbolic`] but a regression fit on
+/// [`FsPath::Optimized`] and [`FsPath::Reference`]. It also keeps the
+/// reported [`crate::LoopCost::fs_path`] true to the request that computed
+/// the entry.
 pub fn point_key(
     kernel: &Kernel,
     machine: &MachineConfig,
@@ -629,7 +625,7 @@ pub fn evaluate_point(
     if let Some(c) = memo.lookup_point(&key) {
         return c;
     }
-    let prep = memo.prepared_for(kernel, machine, path);
+    let prep = memo.prepared_for(kernel, machine);
     let cost = compute_point(kernel, machine, threads, mode, path, &prep);
     memo.insert_point(key, cost.clone());
     cost

@@ -12,7 +12,7 @@
 //! the detected events).
 
 use crate::footprint::{cache_cost, tlb_cost, CacheCost, TlbCost};
-use crate::fs::{run_fs_model_prepared, FsModelConfig, FsModelResult, FsPath};
+use crate::fs::{dispatch_fs_model, FsModelConfig, FsModelResult, FsPath};
 use crate::overhead::{overhead_cost, OverheadCost};
 use crate::processor::{machine_cost, MachineCost};
 use loop_ir::{AccessPlan, Kernel};
@@ -26,12 +26,12 @@ pub struct LoopCost {
     pub tlb: TlbCost,
     pub overhead: OverheadCost,
     pub fs: FsModelResult,
-    /// The FS-model path this analysis was dispatched on (the resolved
-    /// [`AnalysisOptions::fs_path`] / [`FsModelConfig::path`]). A symbolic
-    /// dispatch that fell outside the decidable fragment still reports
-    /// `Symbolic` here — the fallback is visible in the
-    /// `fs.symbolic_fallbacks` observability counter, and the counts are
-    /// identical either way.
+    /// The FS-model engine that actually produced [`Self::fs`]: the
+    /// requested path ([`AnalysisOptions::fs_path`] /
+    /// [`FsModelConfig::path`]) unless it fell back. A symbolic request
+    /// outside the decidable fragment reports `Optimized` (or `Reference`
+    /// past the dense-table limit), and so does an optimized request whose
+    /// footprint is too large for dense tables.
     pub fs_path: FsPath,
     /// Innermost iterations on the critical path (per thread).
     pub iters_per_thread: f64,
@@ -211,23 +211,15 @@ pub fn analyze_loop_prepared(
         &rebased
     };
 
-    let (fs, predicted_events) = match opts.predict_chunk_runs {
-        Some(runs) => {
-            match crate::predict::predict_fs_prepared(kernel, &fs_cfg, runs, &prep.plan, bases) {
-                Some(p) => {
-                    let ev = p.predicted_events;
-                    (p.sample, Some(ev))
-                }
-                None => (
-                    run_fs_model_prepared(kernel, &fs_cfg, &prep.plan, bases),
-                    None,
-                ),
-            }
+    let predicted = opts.predict_chunk_runs.and_then(|runs| {
+        crate::predict::predict_dispatch(kernel, &fs_cfg, runs, &prep.plan, bases)
+    });
+    let (fs, predicted_events, engine) = match predicted {
+        Some((p, engine)) => (p.sample, Some(p.predicted_events), engine),
+        None => {
+            let (fs, engine) = dispatch_fs_model(kernel, &fs_cfg, &prep.plan, bases);
+            (fs, None, engine)
         }
-        None => (
-            run_fs_model_prepared(kernel, &fs_cfg, &prep.plan, bases),
-            None,
-        ),
     };
 
     // Critical-path iterations: the static schedule may be imbalanced (a
@@ -276,7 +268,7 @@ pub fn analyze_loop_prepared(
         tlb,
         overhead: ovh,
         fs,
-        fs_path: fs_cfg.path,
+        fs_path: engine,
         iters_per_thread,
         fs_cycles,
         total_cycles,

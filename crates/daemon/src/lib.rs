@@ -151,6 +151,12 @@ impl Daemon {
     /// response — only on I/O errors writing to `out`. Every line bumps its
     /// per-command tally and, when enabled, emits one access-log record.
     pub fn handle_line(&self, line: &str, out: &mut dyn Write) -> io::Result<()> {
+        self.serve_line(line, out).map(|_| ())
+    }
+
+    /// [`Self::handle_line`], also telling whether the line was a valid
+    /// request (`false`: it got the protocol-error response).
+    fn serve_line(&self, line: &str, out: &mut dyn Write) -> io::Result<bool> {
         let t_start = Instant::now();
         let parsed = match fs_core::json::parse(line) {
             Ok(v) => parse_request(&v),
@@ -163,7 +169,7 @@ impl Daemon {
                 self.tally.bump("error");
                 let res = writeln!(out, "{}", error_json(&e).render());
                 self.log_access(allocate_request_id(), "error", 0, 0, 0, t_start, "error");
-                return res;
+                return res.map(|_| false);
             }
         };
         let cmd = match parsed.command {
@@ -200,7 +206,7 @@ impl Daemon {
             ),
             None => self.log_access(allocate_request_id(), cmd, 0, 0, 0, t_start, "ok"),
         }
-        res
+        res.map(|_| true)
     }
 
     /// One NDJSON access-log record on stderr, when enabled.
@@ -310,14 +316,6 @@ impl Daemon {
                     .field(
                         "symbolic_fallbacks",
                         obs::counters::FS_SYMBOLIC_FALLBACKS.get(),
-                    )
-                    .field(
-                        "analytic_dispatches",
-                        obs::counters::FS_DISPATCH_ANALYTIC.get(),
-                    )
-                    .field(
-                        "analytic_fallbacks",
-                        obs::counters::FS_ANALYTIC_FALLBACKS.get(),
                     ),
             )
             .field(
@@ -553,8 +551,7 @@ impl Daemon {
                 let mut body = String::new();
                 reader.take(content_length).read_to_string(&mut body)?;
                 let mut out: Vec<u8> = Vec::new();
-                self.handle_line(&body, &mut out)?;
-                let ok = !out.starts_with(b"{\"fsd_version\":1,\"error\":");
+                let ok = self.serve_line(&body, &mut out)?;
                 Ok((
                     if ok { 200 } else { 400 },
                     CT_JSON,
@@ -682,7 +679,10 @@ mod tests {
         d.handle_line("{\"cmd\": \"ping\"}", &mut out).unwrap();
         let line = String::from_utf8(out).unwrap();
         let v = fs_core::json::parse(line.trim()).unwrap();
-        assert_eq!(v.get("fsd_version").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(
+            v.get("fsd_version").and_then(|v| v.as_u64()),
+            Some(FSD_VERSION)
+        );
         assert_eq!(v.get("event").and_then(|v| v.as_str()), Some("pong"));
 
         let mut out = Vec::new();

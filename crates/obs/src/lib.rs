@@ -249,7 +249,7 @@ pub mod counters {
     pub static SWEEP_MEMO_MISSES: Counter = Counter::new("sweep.memo_misses");
     /// Grid points evaluated by `SweepEngine` (memo hits included).
     pub static SWEEP_POINTS: Counter = Counter::new("sweep.points_evaluated");
-    /// Full FS-model evaluations (either path).
+    /// Full FS-model evaluations (any engine).
     pub static FS_MODEL_RUNS: Counter = Counter::new("fs.model_runs");
     /// FS cases detected, summed over runs.
     pub static FS_CASES: Counter = Counter::new("fs.cases");
@@ -265,7 +265,8 @@ pub mod counters {
     pub static FS_LINE_TABLE_SLOTS: Counter = Counter::new("fs.line_table_slots");
     /// Runs dispatched to the dense (optimized) hot loop.
     pub static FS_DISPATCH_DENSE: Counter = Counter::new("fs.dispatch_dense");
-    /// Runs dispatched to the reference hash-map path by configuration.
+    /// Runs answered by the reference hash-map path (requested, or past
+    /// the dense-table limit).
     pub static FS_DISPATCH_REFERENCE: Counter = Counter::new("fs.dispatch_reference");
     /// Optimized-path requests that fell back to the reference path because
     /// the kernel footprint exceeded `DENSE_LINE_LIMIT`.
@@ -275,11 +276,6 @@ pub mod counters {
     /// Symbolic-path requests that fell outside the decidable fragment (or
     /// its work budget) and fell back to the dense/reference dispatch.
     pub static FS_SYMBOLIC_FALLBACKS: Counter = Counter::new("fs.symbolic_fallbacks");
-    /// Runs answered by the analytic (reuse-distance) path.
-    pub static FS_DISPATCH_ANALYTIC: Counter = Counter::new("fs.dispatch_analytic");
-    /// Analytic-path requests that fell outside the decidable fragment and
-    /// fell back to the dense/reference dispatch.
-    pub static FS_ANALYTIC_FALLBACKS: Counter = Counter::new("fs.analytic_fallbacks");
     /// Strength-reduced address-stream plans compiled (`CompiledPlan::new`).
     pub static STREAM_PLANS_COMPILED: Counter = Counter::new("stream.plans_compiled");
     /// §III-E linear-regression predictor fits.
@@ -314,7 +310,7 @@ pub mod counters {
     /// Service requests that returned an error envelope.
     pub static SVC_ERRORS: Counter = Counter::new("svc.errors");
 
-    pub(super) static ALL: [&Counter; 33] = [
+    pub(super) static ALL: [&Counter; 31] = [
         &SWEEP_MEMO_HITS,
         &SWEEP_MEMO_MISSES,
         &SWEEP_POINTS,
@@ -330,8 +326,6 @@ pub mod counters {
         &FS_DENSE_FALLBACKS,
         &FS_DISPATCH_SYMBOLIC,
         &FS_SYMBOLIC_FALLBACKS,
-        &FS_DISPATCH_ANALYTIC,
-        &FS_ANALYTIC_FALLBACKS,
         &STREAM_PLANS_COMPILED,
         &PREDICT_FITS,
         &SIM_REPLAYS,
@@ -387,16 +381,12 @@ pub mod hists {
     pub static FS_MODEL_NS: Histogram = Histogram::new("fs.model_ns");
     /// One MESI-simulator kernel replay (the `sim.replay` span).
     pub static SIM_REPLAY_NS: Histogram = Histogram::new("sim.replay_ns");
-    /// One analytic (reuse-distance) FS-model evaluation, the closed-form
-    /// portion only — a subset of the matching `fs.model_ns` observation.
-    pub static FS_ANALYTIC_NS: Histogram = Histogram::new("fs.analytic_ns");
 
-    pub(super) static ALL: [&Histogram; 5] = [
+    pub(super) static ALL: [&Histogram; 4] = [
         &SVC_REQUEST_NS,
         &SWEEP_POINT_NS,
         &FS_MODEL_NS,
         &SIM_REPLAY_NS,
-        &FS_ANALYTIC_NS,
     ];
 }
 

@@ -1,14 +1,13 @@
-//! Differential accuracy oracle for the analytic (reuse-distance) path:
-//! randomized kernels are run through `FsPath::Analytic` and replayed in
-//! the execution-driven MESI simulator. The contract, calibrated on the
-//! bundled corpus:
+//! Differential accuracy oracle for the reuse-distance capacity
+//! prediction: randomized kernels are run through
+//! `cost_model::capacity_prediction` and replayed in the execution-driven
+//! MESI simulator. The contract, calibrated on the bundled corpus:
 //!
-//! * coherence counts are *exactly* the reference path's, always — the
-//!   capacity prediction rides on top without perturbing the FS model;
-//! * when the kernel stays inside the decidable fragment (capacity is
-//!   `Some`), the prediction satisfies the stated error bounds below;
-//! * leaving the fragment never panics — the path falls back and the
-//!   fallback is counted and reported.
+//! * the symbolic engine's coherence counts on the same kernel are
+//!   *exactly* the reference path's, always;
+//! * when the kernel stays inside the decidable fragment (the prediction
+//!   is `Some`), the prediction satisfies the stated error bounds below;
+//! * leaving the fragment never panics — the prediction is `None`.
 //!
 //! Error bounds (relative tolerance overridable via `FS_ANALYTIC_REL_TOL`):
 //!
@@ -27,7 +26,7 @@
 //! as a `.loop` reproducer, as in `tests/lint_differential.rs`.
 
 use cache_sim::{simulate_kernel, SimOptions};
-use cost_model::{run_fs_model, FsPath};
+use cost_model::{capacity_prediction, run_fs_model, CacheGeometry, CapacityPrediction, FsPath};
 use fs_core::{corpus_kernel_with_consts, kernel_to_dsl, FsModelConfig};
 use loop_ir::{kernels, Kernel};
 use machine::presets;
@@ -94,22 +93,27 @@ fn cfg(p: Params, path: FsPath) -> FsModelConfig {
     c
 }
 
+/// The capacity prediction of `kernel` under `cfg` on paper48.
+fn predict(kernel: &Kernel, cfg: &FsModelConfig) -> Option<CapacityPrediction> {
+    let geometry = CacheGeometry::for_machine(&presets::paper48());
+    let bases = kernel.array_bases(cfg.line_size);
+    capacity_prediction(kernel, cfg, &geometry, &kernel.access_plan(), &bases)
+}
+
 /// Check one point; Some(description) on any violated bound.
 fn divergence(p: Params) -> Option<String> {
     let kernel = kernel_at(p);
-    let mut analytic = run_fs_model(&kernel, &cfg(p, FsPath::Analytic));
-    let capacity = analytic.capacity.take();
 
-    // Coherence counts must be exact whether or not the capacity
-    // prediction attached.
+    // Coherence counts must be exact whether or not the kernel sits in the
+    // fragment (the symbolic engine falls back densely outside it).
+    let symbolic = run_fs_model(&kernel, &cfg(p, FsPath::Symbolic));
     let reference = run_fs_model(&kernel, &cfg(p, FsPath::Reference));
-    if analytic != reference {
-        return Some(format!("analytic counts diverge from reference ({p:?})"));
+    if symbolic != reference {
+        return Some(format!("symbolic counts diverge from reference ({p:?})"));
     }
 
-    // Outside the decidable fragment there is nothing further to check —
-    // the fallback already produced reference-identical counts.
-    let cap = capacity?;
+    // Outside the decidable fragment there is nothing further to check.
+    let cap = predict(&kernel, &cfg(p, FsPath::Symbolic))?;
 
     let tol = rel_tol();
     let stats = simulate_kernel(
@@ -209,9 +213,8 @@ fn check_point(p: Params) {
         let small = minimize(p);
         let path = dump_reproducer(small);
         panic!(
-            "analytic/sim divergence: {msg}\nminimized to {small:?}\n\
-             reproducer: {} (run `fsdetect --path analytic {}`)",
-            path.display(),
+            "capacity/sim divergence: {msg}\nminimized to {small:?}\n\
+             reproducer: {}",
             path.display()
         );
     }
@@ -222,7 +225,7 @@ proptest! {
 
     /// The headline differential property: >= 256 random (template, scale,
     /// threads, chunk) points, zero panics, every in-fragment prediction
-    /// within the stated bounds, every fallback reference-identical.
+    /// within the stated bounds, every point's counts reference-identical.
     #[test]
     fn analytic_predictions_within_bounds(
         template in 0usize..NUM_TEMPLATES,
@@ -250,46 +253,34 @@ fn every_template_checked_and_fallbacks_reported() {
             };
             check_point(p);
             total += 1;
-            if run_fs_model(&kernel_at(p), &cfg(p, FsPath::Analytic))
-                .capacity
-                .is_some()
-            {
+            if predict(&kernel_at(p), &cfg(p, FsPath::Symbolic)).is_some() {
                 in_fragment += 1;
             }
         }
     }
-    println!("analytic fragment coverage: {in_fragment}/{total} sweep points");
+    println!("capacity fragment coverage: {in_fragment}/{total} sweep points");
     // The bundled corpus shapes all sit inside the decidable fragment.
     assert_eq!(in_fragment, total, "corpus-shaped kernels fell back");
 }
 
-/// The bundled corpus at default sizes dispatches analytically with zero
-/// fallbacks, and the fallback counter observably ticks when a kernel
-/// leaves the fragment.
+/// The bundled corpus at default sizes sits inside the fragment, and a
+/// truncated-run config (regression sampling) leaves it.
 #[test]
-fn corpus_dispatches_and_fallbacks_are_counted() {
-    fs_obs::configure(fs_obs::ObsConfig::enabled());
+fn corpus_kernels_predict_and_truncated_runs_decline() {
     for name in DSL_CORPUS {
         let kernel = fs_core::corpus_kernel(name).expect("bundled kernel parses");
-        let mut c = FsModelConfig::for_machine(&presets::paper48(), 8);
-        c.path = FsPath::Analytic;
-        let before = fs_obs::counters::FS_ANALYTIC_FALLBACKS.get();
-        let r = run_fs_model(&kernel, &c);
-        let after = fs_obs::counters::FS_ANALYTIC_FALLBACKS.get();
-        assert_eq!(before, after, "{name}: bundled kernel fell back");
-        assert!(r.capacity.is_some(), "{name}: no capacity prediction");
+        let c = FsModelConfig::for_machine(&presets::paper48(), 8);
+        assert!(
+            predict(&kernel, &c).is_some(),
+            "{name}: no capacity prediction"
+        );
     }
 
-    // Truncated-run configs leave the fragment: the counter must tick.
     let kernel = fs_core::corpus_kernel("stencil").unwrap();
     let mut c = FsModelConfig::for_machine(&presets::paper48(), 8);
-    c.path = FsPath::Analytic;
     c.max_chunk_runs = Some(1);
-    let before = fs_obs::counters::FS_ANALYTIC_FALLBACKS.get();
-    let r = run_fs_model(&kernel, &c);
-    assert!(r.capacity.is_none());
     assert!(
-        fs_obs::counters::FS_ANALYTIC_FALLBACKS.get() > before,
-        "fallback was not counted"
+        predict(&kernel, &c).is_none(),
+        "truncated run was predicted"
     );
 }

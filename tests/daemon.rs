@@ -206,6 +206,21 @@ fn ignored_sim_workers_field_leaves_the_envelope_unchanged() {
 }
 
 #[test]
+fn analytic_path_alias_gets_the_symbolic_envelope() {
+    // `"analytic"` names a removed FS path; it parses as `"symbolic"`, so
+    // old clients get the same bytes as a symbolic request.
+    let plain = analyze_request(&["@histogram", "@heat"], true);
+    let with_path = |p: &str| parse(&plain).unwrap().field("path", p).render();
+    let (a, b) = (TestServer::start(), TestServer::start());
+    assert_eq!(
+        b.round_trip(&with_path("analytic")),
+        a.round_trip(&with_path("symbolic"))
+    );
+    a.stop();
+    b.stop();
+}
+
+#[test]
 fn one_connection_can_issue_many_requests_and_streams() {
     let server = TestServer::start();
     let mut stream = server.connect();

@@ -1,0 +1,121 @@
+//! The FS model's three-way dispatch invariant: every full model run is
+//! answered by exactly one engine, so `fs.dispatch_dense +
+//! fs.dispatch_reference + fs.dispatch_symbolic == fs.model_runs`, whether
+//! the run came from the dispatcher or from the predictor's symbolic
+//! short-circuit. `fs.symbolic_fallbacks` moves only for
+//! [`FsPath::Symbolic`] requests outside the decidable fragment, and
+//! `LoopCost::fs_path` names the engine that answered.
+//!
+//! A test binary of its own: the counters are process-global, so no other
+//! test may run the model while this one reads them.
+
+use cost_model::{analyze_loop, AnalysisOptions};
+use fs_core::obs::{self, counters};
+use fs_core::{corpus_kernel_with_consts, FsPath};
+use loop_ir::{ArrayRef, Expr, Kernel, KernelBuilder, ScalarType, Schedule, Stmt};
+use machine::presets;
+
+/// Every corpus kernel at a small problem size (const names as in
+/// `crates/core/src/corpus.rs`).
+fn small_corpus() -> Vec<Kernel> {
+    let consts: [(&str, &[(&str, i64)]); 6] = [
+        ("dft", &[("N", 8), ("K", 32)]),
+        ("heat", &[("N", 6), ("M", 34)]),
+        ("histogram", &[("T", 8), ("N", 64)]),
+        ("linreg", &[("N", 48), ("M", 8)]),
+        ("matmul", &[("N", 8), ("M", 8), ("P", 8)]),
+        ("stencil", &[("N", 66)]),
+    ];
+    consts
+        .iter()
+        .map(|(name, c)| corpus_kernel_with_consts(name, c).expect("corpus kernel builds"))
+        .collect()
+}
+
+/// Triangular inner bounds: outside the symbolic fragment.
+fn triangular_kernel() -> Kernel {
+    fs_core::parse_kernel(
+        "kernel tri {
+  array A[32][32]: f64;
+  parallel for i in 0..32 schedule(static, 2) {
+    for j in 0..i + 1 {
+      A[i][j] = 1.0;
+    }
+  }
+}",
+    )
+    .expect("triangular kernel parses")
+}
+
+/// A kernel whose footprint (2^23 lines) exceeds the FS model's dense-table
+/// limit (2^22 lines) but which touches only 64 lines.
+fn oversized_kernel() -> Kernel {
+    let stride = 1 << 20;
+    let mut b = KernelBuilder::new("sparse_touch");
+    let i = b.loop_var("i");
+    let a = b.array("A", &[64 * stride as u64], ScalarType::F64);
+    b.parallel_for(i, 0, 64, Schedule::Static { chunk: 1 });
+    b.stmt(Stmt::assign(
+        ArrayRef::write(a, vec![b.idx(i) * stride]),
+        Expr::num(1.0),
+    ));
+    b.build()
+}
+
+/// `(model_runs, dispatch_dense, dispatch_reference, dispatch_symbolic,
+/// symbolic_fallbacks)`.
+fn tallies() -> (u64, u64, u64, u64, u64) {
+    (
+        counters::FS_MODEL_RUNS.get(),
+        counters::FS_DISPATCH_DENSE.get(),
+        counters::FS_DISPATCH_REFERENCE.get(),
+        counters::FS_DISPATCH_SYMBOLIC.get(),
+        counters::FS_SYMBOLIC_FALLBACKS.get(),
+    )
+}
+
+#[test]
+fn every_model_run_takes_exactly_one_of_three_engines() {
+    obs::configure(obs::ObsConfig::enabled());
+    obs::reset();
+    let machine = presets::paper48();
+    // (kernel, inside the symbolic fragment, fits the dense tables)
+    let kernels = small_corpus().into_iter().map(|k| (k, true, true)).chain([
+        (triangular_kernel(), false, true),
+        (oversized_kernel(), true, false),
+    ]);
+
+    for (kernel, in_fragment, fits) in kernels {
+        for predict in [None, Some(4)] {
+            for path in [FsPath::Optimized, FsPath::Reference, FsPath::Symbolic] {
+                let ctx = format!("kernel={} predict={predict:?} path={path:?}", kernel.name);
+                let mut opts = AnalysisOptions::new(4).path(path);
+                opts.predict_chunk_runs = predict;
+                let before = tallies();
+                let cost = analyze_loop(&kernel, &machine, &opts);
+                let (runs, dense, reference, symbolic, fallbacks) = tallies();
+
+                assert!(runs > before.0, "{ctx}: no model run counted");
+                assert_eq!(
+                    dense + reference + symbolic,
+                    runs,
+                    "{ctx}: dense + reference + symbolic != model_runs"
+                );
+                let fell_back = path == FsPath::Symbolic && !in_fragment;
+                assert_eq!(
+                    fallbacks > before.4,
+                    fell_back,
+                    "{ctx}: symbolic_fallbacks moved wrongly"
+                );
+                let engine = match path {
+                    FsPath::Symbolic if in_fragment => FsPath::Symbolic,
+                    FsPath::Reference => FsPath::Reference,
+                    _ if fits => FsPath::Optimized,
+                    _ => FsPath::Reference,
+                };
+                assert_eq!(cost.fs_path, engine, "{ctx}: wrong engine reported");
+            }
+        }
+    }
+    obs::configure(obs::ObsConfig::disabled());
+}

@@ -8,7 +8,7 @@
 //! diverging kernel is dumped as a `.loop` reproducer, as in
 //! `tests/lint_differential.rs`.
 
-use cost_model::{run_fs_model, FsPath};
+use cost_model::{capacity_prediction, run_fs_model, CacheGeometry, FsPath};
 use fs_core::{corpus_kernel_with_consts, kernel_to_dsl};
 use fs_core::{FsModelConfig, FsModelResult};
 use loop_ir::Kernel;
@@ -263,11 +263,11 @@ fn bundled_corpus_is_symbolic_and_exact() {
     }
 }
 
-/// Fragment-boundary kernels on the analytic path: kernels whose shape
-/// sits at or beyond the reuse-distance fragment's edge (triangular inner
-/// bounds, non-unit mixed strides) must either attach a capacity
-/// prediction or fall back — and in both cases the coherence counts are
-/// reference-identical.
+/// Fragment-boundary kernels of the reuse-distance capacity prediction:
+/// kernels whose shape sits at or beyond the fragment's edge (triangular
+/// inner bounds, non-unit mixed strides) must get a prediction exactly when
+/// they are inside it, and the symbolic engine (which falls back outside
+/// its own fragment) must still give reference-identical counts.
 #[test]
 fn analytic_boundary_kernels_fall_back_identically() {
     // (source, expect_capacity): the triangular nest has non-constant inner
@@ -311,23 +311,30 @@ fn analytic_boundary_kernels_fall_back_identically() {
     for threads in [2u32, 8] {
         for (src, expect_capacity) in cases {
             let kernel = fs_core::parse_kernel(src).unwrap();
-            let mut reference = FsModelConfig::for_machine(&presets::paper48(), threads);
-            reference.path = FsPath::Reference;
-            let want = run_fs_model(&kernel, &reference);
-
-            let mut analytic = reference.clone();
-            analytic.path = FsPath::Analytic;
-            let mut got = run_fs_model(&kernel, &analytic);
-            let capacity = got.capacity.take();
+            let cfg = FsModelConfig::for_machine(&presets::paper48(), threads);
+            let geometry = CacheGeometry::for_machine(&presets::paper48());
+            let bases = kernel.array_bases(cfg.line_size);
+            let capacity =
+                capacity_prediction(&kernel, &cfg, &geometry, &kernel.access_plan(), &bases);
             assert_eq!(
                 capacity.is_some(),
                 expect_capacity,
                 "{} threads={threads}: fragment membership flipped",
                 kernel.name
             );
+            let counts = |path| {
+                run_fs_model(
+                    &kernel,
+                    &FsModelConfig {
+                        path,
+                        ..cfg.clone()
+                    },
+                )
+            };
             assert_eq!(
-                got, want,
-                "{} threads={threads}: analytic counts diverge",
+                counts(FsPath::Symbolic),
+                counts(FsPath::Reference),
+                "{} threads={threads}: symbolic counts diverge",
                 kernel.name
             );
         }
