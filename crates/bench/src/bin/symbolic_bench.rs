@@ -4,11 +4,14 @@
 //!
 //! Two gates, both required for exit 0:
 //!
-//! 1. **Fallback rate**: every bundled corpus kernel must dispatch
-//!    symbolically — `fs.symbolic_fallbacks` must not move — the
-//!    symbolic counts must equal the dense counts exactly, and
+//! 1. **Fallback rate**: the symbolic path must decline no bundled corpus
+//!    kernel — `fs.symbolic_fallbacks` must not move — the symbolic counts
+//!    must equal the dense counts exactly, and
 //!    [`cost_model::capacity_prediction`] must predict its capacity misses
-//!    (the reuse-distance analysis covers the same corpus).
+//!    (the reuse-distance analysis covers the same corpus). Per kernel the
+//!    bench reports which engine answered the symbolic request (the closed
+//!    form, or the dense walk the symbolic engine hands small and
+//!    period-free runs to) and the symbolic and dense times.
 //! 2. **Speedup**: on large in-fragment kernels (many outer iterations, so
 //!    the dense walk replays millions of steps while the symbolic path
 //!    verifies one steady-state window and extrapolates), the aggregate
@@ -59,14 +62,49 @@ impl Point {
 
 struct PointResult {
     name: String,
+    /// The engine that answered the symbolic request.
+    engine: FsPath,
     fs_cases: u64,
     symbolic_s: f64,
     dense_s: f64,
 }
 
-/// Fallbacks counted so far (the obs counter is process-global).
-fn fallbacks() -> u64 {
-    fs_obs::counters::FS_SYMBOLIC_FALLBACKS.get()
+fn points_json(results: &[PointResult]) -> JsonValue {
+    JsonValue::Arr(
+        results
+            .iter()
+            .map(|r| {
+                JsonValue::obj()
+                    .field("kernel", r.name.as_str())
+                    .field("engine", r.engine.as_str())
+                    .field("fs_cases", r.fs_cases)
+                    .field("symbolic_seconds", r.symbolic_s)
+                    .field("dense_seconds", r.dense_s)
+            })
+            .collect(),
+    )
+}
+
+/// [`time_path`] on [`FsPath::Symbolic`], also returning the declines it
+/// counted (`fs.symbolic_fallbacks`; the obs counters are process-global)
+/// and the engine that answered: the closed form, the dense walk, or the
+/// reference machine.
+fn time_symbolic(p: &Point, cfg: &FsModelConfig, reps: u32) -> (f64, u64, u64, FsPath) {
+    use fs_obs::counters::{FS_DISPATCH_DENSE, FS_DISPATCH_SYMBOLIC, FS_SYMBOLIC_FALLBACKS};
+    let (fallbacks, symbolic, dense) = (
+        FS_SYMBOLIC_FALLBACKS.get(),
+        FS_DISPATCH_SYMBOLIC.get(),
+        FS_DISPATCH_DENSE.get(),
+    );
+    let (secs, cases) = time_path(p, cfg, FsPath::Symbolic, reps);
+    let engine = if FS_DISPATCH_SYMBOLIC.get() > symbolic {
+        FsPath::Symbolic
+    } else if FS_DISPATCH_DENSE.get() > dense {
+        FsPath::Optimized
+    } else {
+        FsPath::Reference
+    };
+    (secs, cases, FS_SYMBOLIC_FALLBACKS.get() - fallbacks, engine)
 }
 
 /// Min-of-`reps` wall time of one full FS-model evaluation on `path`.
@@ -101,22 +139,31 @@ fn main() -> ExitCode {
 
     // -- Gate 1: zero symbolic fallbacks over the bundled corpus ----------
     let corpus = ["dft", "heat", "histogram", "linreg", "matmul", "stencil"];
-    println!("## symbolic fallback rate: bundled corpus ({threads} threads)");
+    println!("## symbolic fallback rate: bundled corpus ({threads} threads, {REPEAT} reps)");
     let mut corpus_ok = true;
+    let mut corpus_results: Vec<PointResult> = Vec::new();
     for name in corpus {
         let kernel = fs_core::corpus_kernel(name).expect("bundled kernel");
         let p = Point::new(name, kernel, ls);
-        let before = fallbacks();
-        let (_, sym_cases) = time_path(&p, &cfg, FsPath::Symbolic, 1);
-        let fell = fallbacks() - before;
-        let (_, dense_cases) = time_path(&p, &cfg, FsPath::Optimized, 1);
+        let (sym_s, sym_cases, fell, engine) = time_symbolic(&p, &cfg, REPEAT);
+        let (dense_s, dense_cases) = time_path(&p, &cfg, FsPath::Optimized, REPEAT);
         let exact = sym_cases == dense_cases;
         let capacity = capacity_prediction(&p.kernel, &cfg, &geometry, &p.plan, &p.bases);
         let predicted = capacity.is_some();
         println!(
-            "{name:<12} symbolic cases {sym_cases:>8}  fallbacks {fell}  exact {exact}  \
-             capacity {predicted}"
+            "{name:<12} engine {:<9}  symbolic {:>8.3} ms  dense {:>8.3} ms  \
+             cases {sym_cases:>8}  fallbacks {fell}  exact {exact}  capacity {predicted}",
+            engine.as_str(),
+            sym_s * 1e3,
+            dense_s * 1e3,
         );
+        corpus_results.push(PointResult {
+            name: name.to_string(),
+            engine,
+            fs_cases: sym_cases,
+            symbolic_s: sym_s,
+            dense_s,
+        });
         if fell > 0 || !exact || !predicted {
             eprintln!(
                 "symbolic_bench: {name} fell off the symbolic path, diverged, \
@@ -155,9 +202,7 @@ fn main() -> ExitCode {
     let mut results: Vec<PointResult> = Vec::new();
     let mut speed_ok = true;
     for p in &points {
-        let before = fallbacks();
-        let (sym_s, sym_cases) = time_path(p, &cfg, FsPath::Symbolic, REPEAT);
-        let fell = fallbacks() - before;
+        let (sym_s, sym_cases, fell, engine) = time_symbolic(p, &cfg, REPEAT);
         let (dense_s, dense_cases) = time_path(p, &cfg, FsPath::Optimized, 1);
         if fell > 0 {
             eprintln!("symbolic_bench: {} fell off the symbolic path", p.name);
@@ -180,6 +225,7 @@ fn main() -> ExitCode {
         );
         results.push(PointResult {
             name: p.name.clone(),
+            engine,
             fs_cases: sym_cases,
             symbolic_s: sym_s,
             dense_s,
@@ -203,21 +249,8 @@ fn main() -> ExitCode {
         .field("benchmark", "symbolic")
         .field("threads", threads)
         .field("repeat", REPEAT)
-        .field(
-            "points",
-            JsonValue::Arr(
-                results
-                    .iter()
-                    .map(|r| {
-                        JsonValue::obj()
-                            .field("kernel", r.name.as_str())
-                            .field("fs_cases", r.fs_cases)
-                            .field("symbolic_seconds", r.symbolic_s)
-                            .field("dense_seconds", r.dense_s)
-                    })
-                    .collect::<Vec<_>>(),
-            ),
-        )
+        .field("corpus", points_json(&corpus_results))
+        .field("points", points_json(&results))
         .field("corpus_zero_fallbacks", corpus_ok)
         .field("speedup", speedup)
         .field("gate", gate)

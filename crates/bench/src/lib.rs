@@ -183,12 +183,12 @@ pub fn prediction_table(
         popts.predict_chunk_runs = Some(runs_nfs);
         let pred_nfs_loop = cost_model::analyze_loop(&k_nfs, machine, &popts);
 
-        let cfg = cost_model::FsModelConfig::for_machine(machine, t);
-        let pred_fs = cost_model::predict_fs(&k_fs, &cfg, runs_fs)
-            .map(|p| p.predicted_cases)
+        // A series too short to fit falls back to the full model count.
+        let pred_fs = pred_fs_loop
+            .fs_predicted_cases
             .unwrap_or(full.fs_loop.fs.fs_cases as f64);
-        let pred_nfs = cost_model::predict_fs(&k_nfs, &cfg, runs_nfs)
-            .map(|p| p.predicted_cases)
+        let pred_nfs = pred_nfs_loop
+            .fs_predicted_cases
             .unwrap_or(full.nfs_loop.fs.fs_cases as f64);
 
         let pred_pct = if pred_fs_loop.total_cycles > 0.0 {

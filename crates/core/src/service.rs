@@ -294,10 +294,11 @@ pub struct ServiceOptions {
     /// `NAME=VALUE` bindings applied when parsing every kernel.
     pub consts: Vec<(String, i64)>,
     /// FS-model path for every analysis and grid point. The service
-    /// defaults to [`FsPath::Symbolic`]: in-fragment kernels get exact
-    /// closed-form counts in O(1) per point, and out-of-fragment kernels
-    /// fall back to the dense path with identical counts (see
-    /// `fs.symbolic_fallbacks`).
+    /// defaults to [`FsPath::Symbolic`]: in-fragment kernels with a closed
+    /// form get exact counts without walking the loop, the rest of the
+    /// fragment is handed to the dense walk (see `fs.symbolic_direct`), and
+    /// out-of-fragment kernels fall back to the dense path (see
+    /// `fs.symbolic_fallbacks`), all with identical counts.
     pub path: FsPath,
 }
 
@@ -1181,7 +1182,12 @@ mod tests {
     #[test]
     fn path_toggle_never_serves_stale_cache() {
         let svc = Service::new();
-        let mut req = histogram_request();
+        // A kernel the symbolic engine answers in closed form, so the two
+        // paths run different engines.
+        let mut req = ServiceRequest {
+            kernels: vec![KernelInput::named("@linreg")],
+            ..ServiceRequest::default()
+        };
         let a = svc.handle(&req);
         let s0 = svc.cache().stats();
         req.options.path = FsPath::Reference;
@@ -1204,8 +1210,10 @@ mod tests {
 
     #[test]
     fn fs_path_names_the_engine_that_ran() {
-        // Triangular inner bounds sit outside the symbolic fragment, so the
-        // default symbolic request runs on the dense engine.
+        // Triangular inner bounds sit outside the symbolic fragment, and
+        // @histogram is inside it but has no closed form, so the default
+        // symbolic request runs both on the dense engine; @linreg gets the
+        // closed form.
         let tri = "kernel tri {
   array A[32][32]: f64;
   parallel for i in 0..32 schedule(static, 2) {
@@ -1218,6 +1226,7 @@ mod tests {
             kernels: vec![
                 KernelInput::inline("tri.loop", tri),
                 KernelInput::named("@histogram"),
+                KernelInput::named("@linreg"),
             ],
             ..ServiceRequest::default()
         };
@@ -1234,7 +1243,7 @@ mod tests {
                     .to_string()
             })
             .collect();
-        assert_eq!(paths, ["optimized", "symbolic"]);
+        assert_eq!(paths, ["optimized", "optimized", "symbolic"]);
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //!   optimized path must produce *identical* counts, which the equivalence
 //!   property tests and `fs_model_bench` enforce.
 //! * [`FsPath::Symbolic`] derives the counts in closed form inside the
-//!   decidable affine fragment ([`crate::symbolic`]) and falls back to the
-//!   optimized path outside it.
+//!   decidable affine fragment ([`crate::symbolic`]), hands in-fragment
+//!   runs without a closed form to the optimized path, and falls back to
+//!   the optimized path outside the fragment.
 //!
 //! Faithfulness notes:
 //! * Like the paper, the per-thread cache states are independent LRU stacks;
@@ -49,6 +50,7 @@
 //!   are included in `fs_cases` (off by default — they are reported
 //!   separately).
 
+use crate::symbolic::SymbolicRun;
 use cache_sim::lru::{DenseSetLru, LruCache};
 use loop_ir::walk::LockstepWalker;
 use loop_ir::{AccessPlan, Kernel, StreamCursor, ValidateError};
@@ -82,9 +84,15 @@ pub enum FsPath {
     Reference,
     /// Closed-form chunk-boundary reasoning: inside the decidable affine
     /// fragment the per-period FS deltas are derived once and extrapolated
-    /// (see [`crate::symbolic`]); outside it, dispatch falls back to
-    /// [`FsPath::Optimized`] exactly as `fslint` falls back to Unknown
-    /// (counted by `fs.symbolic_fallbacks`).
+    /// (see [`crate::symbolic`]). In-fragment runs without a closed form —
+    /// too small for the period machinery, no period plan, or no period
+    /// verified — are handed to [`FsPath::Optimized`] (counted by
+    /// `fs.symbolic_direct`): the dense walk gives the same counts at about
+    /// a fifth of the reference machine's cost per access, which the
+    /// symbolic engine would otherwise simulate them on. Outside the
+    /// fragment, dispatch falls back to [`FsPath::Optimized`] exactly as
+    /// `fslint` falls back to Unknown (counted by `fs.symbolic_fallbacks`).
+    /// Either way the engine that ran is what a result reports.
     Symbolic,
 }
 
@@ -615,7 +623,7 @@ pub fn run_fs_model_prepared(
 
 /// [`run_fs_model_prepared`], also returning the engine that actually ran:
 /// the requested [`FsModelConfig::path`] unless it fell back (symbolic
-/// outside its fragment runs dense, dense past the line limit runs
+/// without a closed form runs dense, dense past the line limit runs
 /// reference).
 pub(crate) fn dispatch_fs_model(
     kernel: &Kernel,
@@ -637,10 +645,8 @@ pub(crate) fn dispatch_fs_model(
             run_fs_model_reference(kernel, cfg, plan, bases),
             FsPath::Reference,
         ),
-        FsPath::Symbolic => match try_symbolic(kernel, cfg, plan, bases) {
-            Some(r) => (r, FsPath::Symbolic),
-            None => run_dense_or_reference(kernel, cfg, plan, bases),
-        },
+        FsPath::Symbolic => try_symbolic(kernel, cfg, plan, bases)
+            .unwrap_or_else(|| run_dense_or_reference(kernel, cfg, plan, bases)),
         FsPath::Optimized => run_dense_or_reference(kernel, cfg, plan, bases),
     };
     record_model_run(&result, engine);
@@ -650,19 +656,29 @@ pub(crate) fn dispatch_fs_model(
     (result, engine)
 }
 
-/// The symbolic engine, counting a decline in `fs.symbolic_fallbacks`.
-/// `None` outside the decidable fragment; the caller picks the fallback.
+/// The symbolic path's exact answer and the engine that gave it: the
+/// closed form when one verifies, else the dense walk (or reference, past
+/// the dense-table limit) for in-fragment runs the symbolic engine hands
+/// over, counted in `fs.symbolic_direct`. `None` outside the decidable
+/// fragment or its work budget, counted in `fs.symbolic_fallbacks`; the
+/// caller picks the fallback.
 pub(crate) fn try_symbolic(
     kernel: &Kernel,
     cfg: &FsModelConfig,
     plan: &AccessPlan,
     bases: &[u64],
-) -> Option<FsModelResult> {
-    let r = crate::symbolic::run_symbolic(kernel, cfg, plan, bases);
-    if r.is_none() {
-        fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
+) -> Option<(FsModelResult, FsPath)> {
+    match crate::symbolic::run_symbolic(kernel, cfg, plan, bases) {
+        Some(SymbolicRun::ClosedForm(r)) => Some((r, FsPath::Symbolic)),
+        Some(SymbolicRun::Direct) => {
+            fs_obs::counters::FS_SYMBOLIC_DIRECT.inc();
+            Some(run_dense_or_reference(kernel, cfg, plan, bases))
+        }
+        None => {
+            fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
+            None
+        }
     }
-    r
 }
 
 /// Account one finished model run on `engine`: `fs.model_runs`, the
@@ -686,7 +702,8 @@ pub(crate) fn record_model_run(result: &FsModelResult, engine: FsPath) {
 }
 
 /// The [`FsPath::Optimized`] dispatch: dense tables when the footprint
-/// fits, reference otherwise. Also the landing site of symbolic fallbacks.
+/// fits, reference otherwise. Also the landing site of symbolic fallbacks
+/// and of the symbolic engine's direct hand-offs.
 fn run_dense_or_reference(
     kernel: &Kernel,
     cfg: &FsModelConfig,

@@ -67,9 +67,10 @@ pub struct FsPrediction {
     pub chunk_runs_evaluated: u64,
     /// x_max used for the extrapolation.
     pub total_chunk_runs: u64,
-    /// `true` when the counts are *exact* — the symbolic path evaluated the
-    /// whole loop in closed form, so no regression was fitted and
-    /// `predicted_cases`/`predicted_events` carry zero extrapolation error.
+    /// `true` when the counts are *exact* — on the symbolic path the whole
+    /// loop was evaluated (in closed form or by the dense walk), so no
+    /// regression was fitted and `predicted_cases`/`predicted_events` carry
+    /// zero extrapolation error.
     pub exact: bool,
 }
 
@@ -126,14 +127,15 @@ pub(crate) fn predict_dispatch(
     bases: &[u64],
 ) -> Option<(FsPrediction, FsPath)> {
     let _span = fs_obs::span("predict.fit");
-    // On the symbolic path the full closed-form evaluation is as cheap as a
-    // truncated sample, so regression buys nothing: return the exact counts
-    // in place of a fit. Falls through to the sampled regression when the
-    // kernel sits outside the decidable fragment.
+    // On the symbolic path, every run the engine does not decline is
+    // evaluated exactly — in closed form, or by the dense walk it hands the
+    // run to — so return those counts in place of a fit. Falls through to
+    // the sampled regression when the symbolic engine declines (outside the
+    // decidable fragment or its direct-work budget).
     if cfg.path == FsPath::Symbolic {
-        if let Some(full) = try_symbolic(kernel, cfg, plan, bases) {
+        if let Some((full, engine)) = try_symbolic(kernel, cfg, plan, bases) {
             // A full model run in its own right.
-            record_model_run(&full, FsPath::Symbolic);
+            record_model_run(&full, engine);
             let cases = full.fs_cases as f64;
             let x_max = full.total_chunk_runs;
             let prediction = FsPrediction {
@@ -151,7 +153,7 @@ pub(crate) fn predict_dispatch(
                 exact: true,
                 sample: full,
             };
-            return Some((prediction, FsPath::Symbolic));
+            return Some((prediction, engine));
         }
     }
     fs_obs::counters::PREDICT_FITS.inc();
@@ -273,6 +275,50 @@ mod tests {
         assert_eq!(pred.sample, full);
         let at_xmax = pred.fit.predict(pred.total_chunk_runs as f64);
         assert!((at_xmax - pred.predicted_cases).abs() < 1e-6);
+    }
+
+    /// On the symbolic path a prediction is exact whichever exact engine
+    /// answers — the dense walk the symbolic engine hands small and
+    /// period-free runs to, or the closed form — and a declined kernel
+    /// still gets the regression fit.
+    #[test]
+    fn symbolic_prediction_is_exact_in_both_regimes_and_fitted_outside() {
+        let mut c = cfg(8);
+        c.path = FsPath::Symbolic;
+        let mut reference = c.clone();
+        reference.path = FsPath::Reference;
+        let direct = kernels::heat_diffusion(34, 258, 1);
+        let closed_form = kernels::heat_diffusion(66, 258, 1);
+        for (k, engine) in [
+            (&direct, FsPath::Optimized),
+            (&closed_form, FsPath::Symbolic),
+        ] {
+            let plan = k.access_plan();
+            let bases = k.array_bases(c.line_size);
+            let (pred, ran) = predict_dispatch(k, &c, 4, &plan, &bases).expect("prediction");
+            assert_eq!(ran, engine, "heat {:?}", k.arrays[0].dims);
+            assert!(pred.exact);
+            let full = crate::fs::run_fs_model(k, &reference);
+            assert_eq!(pred.sample, full);
+            assert_eq!(pred.predicted_cases, full.fs_cases as f64);
+            assert_eq!(pred.predicted_events, full.fs_events as f64);
+        }
+
+        // Triangular inner bounds: outside the fragment, so fitted.
+        let tri = loop_ir::dsl::parse_kernel(
+            "kernel tri {
+  array A[64][64]: f64;
+  parallel for i in 0..64 schedule(static, 1) {
+    for j in 0..i + 1 {
+      A[i][j] = 1.0;
+    }
+  }
+}",
+        )
+        .expect("triangular kernel parses");
+        let pred = predict_fs(&tri, &c, 4).expect("regression prediction");
+        assert!(!pred.exact);
+        assert_eq!(pred.chunk_runs_evaluated, 4);
     }
 
     #[test]

@@ -716,7 +716,8 @@ mod tests {
     #[test]
     fn fs_path_participates_in_point_identity() {
         let mut memo = MemoCache::new();
-        let k = kernel_at_chunk(&kernels::transpose(32, 32, 1), 1);
+        // Large enough for the symbolic engine's closed form to engage.
+        let k = kernel_at_chunk(&kernels::heat_diffusion(66, 258, 1), 1);
         let m = presets::paper48();
         let dense = evaluate_point(&k, &m, 8, EvalMode::Full, FsPath::Optimized, &mut memo);
         let symbolic = evaluate_point(&k, &m, 8, EvalMode::Full, FsPath::Symbolic, &mut memo);

@@ -28,12 +28,16 @@
 //! anyway. The LRU/writer state is then translated by `k·Δ` and the ragged
 //! tail (short chunks, truncation) is simulated exactly.
 //!
-//! Kernels whose caches never reach a shifted steady state (footprints
-//! smaller than the stack, non-uniform schedules, multiple changing outer
-//! loops) are completed by bounded direct simulation instead; anything that
-//! would exceed `DIRECT_WORK_LIMIT` returns `None` and the dispatcher
-//! falls back to [`crate::fs::FsPath::Optimized`], exactly as `fslint`
-//! falls back to Unknown outside its fragment.
+//! The engine never simulates a whole loop on `RefMachine`: kernels whose
+//! caches never reach a shifted steady state (footprints smaller than the
+//! stack, non-uniform schedules, multiple changing outer loops), and runs
+//! too small to be worth the snapshot bookkeeping, come back as
+//! `SymbolicRun::Direct` and the dispatcher answers them with the dense
+//! walk, which gives the same counts at about a fifth of the reference
+//! machine's cost per access. Anything whose remaining work would exceed
+//! `DIRECT_WORK_LIMIT` returns `None` and the dispatcher falls back to
+//! [`crate::fs::FsPath::Optimized`], exactly as `fslint` falls back to
+//! Unknown outside its fragment.
 
 use crate::fs::{set_geometry, FsModelConfig, FsModelResult, LineInfo, RefMachine};
 use crate::lint::gcd;
@@ -42,12 +46,13 @@ use loop_ir::schedule::ChunkSchedule;
 use loop_ir::{AccessPlan, CompiledPlan, Kernel, StreamCursor};
 use std::collections::HashMap;
 
-/// Ceiling on `steps × threads × accesses` the symbolic path will simulate
-/// directly (warm-up, recording and tails included) before giving up and
-/// falling back to the dense path.
+/// Ceiling on `steps × threads × accesses` the symbolic path answers
+/// without a closed form: it bounds the windowed warm-up, and a run whose
+/// remaining work exceeds it declines instead of being handed to the dense
+/// walk.
 const DIRECT_WORK_LIMIT: u64 = 1 << 23;
 
-/// Below this much total work, plain simulation is cheaper than snapshot
+/// Below this much total work, the dense walk is cheaper than snapshot
 /// bookkeeping; skip the periodicity machinery entirely.
 const SMALL_DIRECT_WORK: u64 = 1 << 16;
 
@@ -58,6 +63,18 @@ const MAX_WINDOW_STEPS: u64 = 1 << 16;
 /// this the output itself is the bottleneck and no path is viable.
 const MAX_SERIES_ENTRIES: u64 = 1 << 24;
 
+/// An in-fragment answer of the symbolic engine.
+pub(crate) enum SymbolicRun {
+    /// Counts from a verified closed form (or a run with nothing to
+    /// evaluate).
+    ClosedForm(FsModelResult),
+    /// Exact, but no closed form: the run is too small for the periodicity
+    /// machinery, has no period plan, or no period verified. Its remaining
+    /// work is within `DIRECT_WORK_LIMIT`, and the caller answers it with
+    /// the dense walk.
+    Direct,
+}
+
 /// Closed-form evaluation of the FS model. Returns `None` when the kernel
 /// is outside the decidable fragment (non-constant bounds) or the run would
 /// exceed the direct-work budget without a verified period.
@@ -66,7 +83,7 @@ pub(crate) fn run_symbolic(
     cfg: &FsModelConfig,
     plan: &AccessPlan,
     bases: &[u64],
-) -> Option<FsModelResult> {
+) -> Option<SymbolicRun> {
     let _span = fs_obs::span("fs.symbolic");
     let num_threads = cfg.num_threads.max(1) as usize;
     let nest = &kernel.nest;
@@ -116,13 +133,34 @@ pub(crate) fn run_symbolic(
     result.total_chunk_runs = outer_iters * runs_per_instance;
     if target == 0 {
         result.finish_series(steps_per_run);
-        return Some(result);
+        return Some(SymbolicRun::ClosedForm(result));
     }
 
     let per_step_work = (num_threads as u64) * (plan.accesses.len() as u64).max(1);
     let direct_work = target.saturating_mul(per_step_work);
+    // Without a closed form, the run is exact only within the direct-work
+    // budget: hand it to the dense walk, or decline.
+    let direct = |remaining: u64| (remaining <= DIRECT_WORK_LIMIT).then_some(SymbolicRun::Direct);
+    if direct_work <= SMALL_DIRECT_WORK {
+        return direct(direct_work);
+    }
 
     let cplan = plan.compile(kernel.vars.len(), bases);
+    let Some(xp) = plan_extrapolation(
+        kernel,
+        cfg,
+        plan,
+        bases,
+        &cplan,
+        &sched,
+        &trips,
+        outer_prod,
+        inner_prod,
+        steps_per_run,
+        end_steps,
+    ) else {
+        return direct(direct_work);
+    };
     let driver = Driver {
         sched,
         par_level,
@@ -155,34 +193,15 @@ pub(crate) fn run_symbolic(
         cur: 0,
     };
 
-    let mut done = false;
-    if direct_work > SMALL_DIRECT_WORK {
-        if let Some(xp) = plan_extrapolation(
-            kernel,
-            cfg,
-            plan,
-            bases,
-            &cplan,
-            &sched,
-            &trips,
-            outer_prod,
-            inner_prod,
-            steps_per_run,
-            end_steps,
-        ) {
-            done = run_windowed(&mut sim, &xp, &mut result, target, per_step_work);
-        }
-    }
-    if !done {
-        let remaining = (target - sim.cur).saturating_mul(per_step_work);
-        if remaining > DIRECT_WORK_LIMIT {
-            return None;
-        }
-        sim.run_to(target, &mut result);
+    if !run_windowed(&mut sim, &xp, &mut result, target, per_step_work) {
+        // The decline rule counts the work left after the failed attempt.
+        // The machine is dropped on return, before the caller builds the
+        // dense tables, so the two never coexist.
+        return direct((target - sim.cur).saturating_mul(per_step_work));
     }
     fs_obs::counters::FS_LRU_EVICTIONS.add(sim.machine.evictions);
     result.finish_series(steps_per_run);
-    Some(result)
+    Some(SymbolicRun::ClosedForm(result))
 }
 
 /// Closed-form `ChunkSchedule::iters_of_thread` (the library version scans
@@ -675,7 +694,7 @@ fn merge_window(main: &mut FsModelResult, win: &FsModelResult, spr: u64) {
 /// the remaining in-fragment windows in closed form, translate the state,
 /// and simulate the ragged tail. Returns false (with `sim`/`res` advanced
 /// consistently) when no period verified within budget — the caller then
-/// finishes directly or falls back.
+/// hands the run to the dense walk or declines.
 fn run_windowed(
     sim: &mut Sim<'_>,
     xp: &ExtPlan,
@@ -687,7 +706,7 @@ fn run_windowed(
     let period = xp.period_steps;
     let warmup_step_limit = (DIRECT_WORK_LIMIT / per_step_work.max(1)).max(period);
     // Boundary snapshots, oldest first (at most 2: periods of P and 2P are
-    // both caught; longer super-periods fall back to direct simulation).
+    // both caught; longer super-periods go to the dense walk).
     let mut ring: Vec<Snapshot> = Vec::with_capacity(2);
     ring.push(snapshot(&sim.machine));
 

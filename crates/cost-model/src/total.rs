@@ -33,6 +33,10 @@ pub struct LoopCost {
     /// past the dense-table limit), and so does an optimized request whose
     /// footprint is too large for dense tables.
     pub fs_path: FsPath,
+    /// Total FS cases predicted by the §III-E predictor when
+    /// [`AnalysisOptions::predict_chunk_runs`] produced a prediction (exact
+    /// on the symbolic path); `None` for a full model run.
+    pub fs_predicted_cases: Option<f64>,
     /// Innermost iterations on the critical path (per thread).
     pub iters_per_thread: f64,
     /// `False_Sharing_c`: FS cycles on one thread's critical path.
@@ -214,8 +218,12 @@ pub fn analyze_loop_prepared(
     let predicted = opts.predict_chunk_runs.and_then(|runs| {
         crate::predict::predict_dispatch(kernel, &fs_cfg, runs, &prep.plan, bases)
     });
-    let (fs, predicted_events, engine) = match predicted {
-        Some((p, engine)) => (p.sample, Some(p.predicted_events), engine),
+    let (fs, predicted, engine) = match predicted {
+        Some((p, engine)) => (
+            p.sample,
+            Some((p.predicted_cases, p.predicted_events)),
+            engine,
+        ),
         None => {
             let (fs, engine) = dispatch_fs_model(kernel, &fs_cfg, &prep.plan, bases);
             (fs, None, engine)
@@ -245,8 +253,8 @@ pub fn analyze_loop_prepared(
     // FS events (predicted or fully modeled) divided across the team: each
     // event is one coherence miss on some thread's critical path. Load-side
     // events stall in full; store-side events hide behind the store buffer.
-    let (read_events, write_events) = match predicted_events {
-        Some(total) => {
+    let (read_events, write_events) = match predicted {
+        Some((_, total)) => {
             // Scale the sampled read/write split up to the predicted total.
             let sampled = fs.fs_events.max(1) as f64;
             let f = total / sampled;
@@ -269,6 +277,7 @@ pub fn analyze_loop_prepared(
         overhead: ovh,
         fs,
         fs_path: engine,
+        fs_predicted_cases: predicted.map(|(cases, _)| cases),
         iters_per_thread,
         fs_cycles,
         total_cycles,

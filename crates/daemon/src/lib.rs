@@ -51,7 +51,8 @@ use std::time::{Duration, Instant};
 /// check the shutdown flag).
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// Largest HTTP request body the fallback endpoint accepts.
+/// Largest HTTP request body the fallback endpoint accepts, and longest
+/// NDJSON request line the socket accepts.
 const HTTP_BODY_LIMIT: u64 = 8 * 1024 * 1024;
 
 /// Largest HTTP request line (or header line) the fallback accepts; longer
@@ -164,13 +165,7 @@ impl Daemon {
         };
         let parsed = match parsed {
             Ok(p) => p,
-            Err(e) => {
-                obs::counters::SVC_ERRORS.inc();
-                self.tally.bump("error");
-                let res = writeln!(out, "{}", error_json(&e).render());
-                self.log_access(allocate_request_id(), "error", 0, 0, 0, t_start, "error");
-                return res.map(|_| false);
-            }
+            Err(e) => return self.refuse_line(&e, t_start, out).map(|_| false),
         };
         let cmd = match parsed.command {
             Command::Ping => "ping",
@@ -207,6 +202,15 @@ impl Daemon {
             None => self.log_access(allocate_request_id(), cmd, 0, 0, 0, t_start, "ok"),
         }
         res.map(|_| true)
+    }
+
+    /// Answer an invalid request line with the protocol-error envelope.
+    fn refuse_line(&self, message: &str, t_start: Instant, out: &mut dyn Write) -> io::Result<()> {
+        obs::counters::SVC_ERRORS.inc();
+        self.tally.bump("error");
+        let res = writeln!(out, "{}", error_json(message).render());
+        self.log_access(allocate_request_id(), "error", 0, 0, 0, t_start, "error");
+        res
     }
 
     /// One NDJSON access-log record on stderr, when enabled.
@@ -313,6 +317,7 @@ impl Daemon {
                         "symbolic_dispatches",
                         obs::counters::FS_DISPATCH_SYMBOLIC.get(),
                     )
+                    .field("symbolic_direct", obs::counters::FS_SYMBOLIC_DIRECT.get())
                     .field(
                         "symbolic_fallbacks",
                         obs::counters::FS_SYMBOLIC_FALLBACKS.get(),
@@ -421,15 +426,24 @@ impl Daemon {
         };
         let mut writer = BufWriter::new(writer);
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => return, // EOF: client hung up.
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // Same bound as an HTTP body: an over-long line gets one error
+            // envelope and the connection closes, rather than buffering
+            // without limit.
+            let line = match read_line_limited(&mut reader, HTTP_BODY_LIMIT as usize) {
+                Ok(Some(line)) => line,
+                Ok(None) => return, // EOF: client hung up.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    if self
+                        .refuse_line(&e.to_string(), Instant::now(), &mut writer)
+                        .is_ok()
+                    {
+                        let _ = writer.flush();
+                    }
+                    return;
+                }
                 Err(_) => return,
-            }
+            };
             if line.trim().is_empty() {
                 continue;
             }
@@ -565,7 +579,8 @@ impl Daemon {
 
 /// Read one `\n`-terminated line of at most `limit` bytes. `Ok(None)` is
 /// EOF before any byte; an over-long line is an `InvalidData` error (the
-/// connection answers 400 and closes rather than buffering without bound).
+/// connection answers with an error and closes rather than buffering
+/// without bound).
 fn read_line_limited(reader: &mut impl BufRead, limit: usize) -> io::Result<Option<String>> {
     let mut buf = Vec::new();
     reader

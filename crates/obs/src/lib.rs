@@ -276,6 +276,10 @@ pub mod counters {
     /// Symbolic-path requests that fell outside the decidable fragment (or
     /// its work budget) and fell back to the dense/reference dispatch.
     pub static FS_SYMBOLIC_FALLBACKS: Counter = Counter::new("fs.symbolic_fallbacks");
+    /// Symbolic-path requests inside the fragment and its work budget but
+    /// without a closed form, answered exactly by the dense/reference
+    /// dispatch.
+    pub static FS_SYMBOLIC_DIRECT: Counter = Counter::new("fs.symbolic_direct");
     /// Strength-reduced address-stream plans compiled (`CompiledPlan::new`).
     pub static STREAM_PLANS_COMPILED: Counter = Counter::new("stream.plans_compiled");
     /// §III-E linear-regression predictor fits.
@@ -310,7 +314,7 @@ pub mod counters {
     /// Service requests that returned an error envelope.
     pub static SVC_ERRORS: Counter = Counter::new("svc.errors");
 
-    pub(super) static ALL: [&Counter; 31] = [
+    pub(super) static ALL: [&Counter; 32] = [
         &SWEEP_MEMO_HITS,
         &SWEEP_MEMO_MISSES,
         &SWEEP_POINTS,
@@ -326,6 +330,7 @@ pub mod counters {
         &FS_DENSE_FALLBACKS,
         &FS_DISPATCH_SYMBOLIC,
         &FS_SYMBOLIC_FALLBACKS,
+        &FS_SYMBOLIC_DIRECT,
         &STREAM_PLANS_COMPILED,
         &PREDICT_FITS,
         &SIM_REPLAYS,

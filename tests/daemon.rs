@@ -265,6 +265,52 @@ fn one_connection_can_issue_many_requests_and_streams() {
 }
 
 #[test]
+fn over_long_socket_line_gets_one_error_then_the_connection_closes() {
+    // The socket shares the HTTP body limit (8 MiB).
+    const LIMIT: usize = 8 * 1024 * 1024;
+    let server = TestServer::start();
+    let stream = server.connect();
+    // Unbounded buffering would never answer: fail on a timeout, not a hang.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    // Feed past the limit from another thread: the daemon stops reading
+    // once the line is too long, so later writes may fail.
+    let mut writer = stream.try_clone().unwrap();
+    let feeder = thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 16];
+        let mut sent = 0;
+        while sent <= LIMIT && writer.write_all(&chunk).is_ok() {
+            sent += chunk.len();
+        }
+        let _ = writer.write_all(b"\n");
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("one error envelope");
+    let v = parse(line.trim()).expect("error envelope is JSON");
+    assert_eq!(v.get("fsd_version").and_then(|v| v.as_u64()), Some(1));
+    assert!(
+        v.get("error")
+            .and_then(|e| e.as_str())
+            .is_some_and(|e| e.contains("too long")),
+        "got: {line}"
+    );
+    // Then the daemon closes: end of stream (or a reset, since the rest
+    // of the line was never read).
+    line.clear();
+    match reader.read_line(&mut line) {
+        Ok(n) => assert_eq!(n, 0, "connection stayed open: {line}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    feeder.join().unwrap();
+    // The daemon still serves new connections.
+    let pong = server.round_trip("{\"cmd\": \"ping\"}");
+    assert!(pong.contains("\"pong\""), "got: {pong}");
+    server.stop();
+}
+
+#[test]
 fn shutdown_command_stops_the_accept_loop() {
     let server = TestServer::start();
     let ack = server.round_trip("{\"cmd\": \"shutdown\"}");

@@ -2,8 +2,10 @@
 //! answered by exactly one engine, so `fs.dispatch_dense +
 //! fs.dispatch_reference + fs.dispatch_symbolic == fs.model_runs`, whether
 //! the run came from the dispatcher or from the predictor's symbolic
-//! short-circuit. `fs.symbolic_fallbacks` moves only for
-//! [`FsPath::Symbolic`] requests outside the decidable fragment, and
+//! short-circuit. Every [`FsPath::Symbolic`] attempt ends in exactly one
+//! of three ways — a closed form (`fs.dispatch_symbolic`), a direct
+//! hand-off to the dense walk (`fs.symbolic_direct`), or a decline outside
+//! the decidable fragment (`fs.symbolic_fallbacks`) — and
 //! `LoopCost::fs_path` names the engine that answered.
 //!
 //! A test binary of its own: the counters are process-global, so no other
@@ -15,8 +17,20 @@ use fs_core::{corpus_kernel_with_consts, FsPath};
 use loop_ir::{ArrayRef, Expr, Kernel, KernelBuilder, ScalarType, Schedule, Stmt};
 use machine::presets;
 
+/// How the symbolic engine answers a kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Regime {
+    /// A verified closed form.
+    ClosedForm,
+    /// In the fragment, no closed form: handed to the dense walk.
+    Direct,
+    /// Outside the fragment.
+    Declined,
+}
+
 /// Every corpus kernel at a small problem size (const names as in
-/// `crates/core/src/corpus.rs`).
+/// `crates/core/src/corpus.rs`). At these sizes the symbolic engine hands
+/// all of them to the dense walk.
 fn small_corpus() -> Vec<Kernel> {
     let consts: [(&str, &[(&str, i64)]); 6] = [
         ("dft", &[("N", 8), ("K", 32)]),
@@ -62,16 +76,31 @@ fn oversized_kernel() -> Kernel {
     b.build()
 }
 
-/// `(model_runs, dispatch_dense, dispatch_reference, dispatch_symbolic,
-/// symbolic_fallbacks)`.
-fn tallies() -> (u64, u64, u64, u64, u64) {
-    (
-        counters::FS_MODEL_RUNS.get(),
-        counters::FS_DISPATCH_DENSE.get(),
-        counters::FS_DISPATCH_REFERENCE.get(),
-        counters::FS_DISPATCH_SYMBOLIC.get(),
-        counters::FS_SYMBOLIC_FALLBACKS.get(),
-    )
+/// Heat diffusion at a size where the symbolic closed form engages.
+fn closed_form_kernel() -> Kernel {
+    corpus_kernel_with_consts("heat", &[("N", 66), ("M", 258)]).expect("corpus kernel builds")
+}
+
+/// The dispatch counters, in one read.
+#[derive(Debug, Clone, Copy)]
+struct Tallies {
+    model_runs: u64,
+    dense: u64,
+    reference: u64,
+    symbolic: u64,
+    direct: u64,
+    fallbacks: u64,
+}
+
+fn tallies() -> Tallies {
+    Tallies {
+        model_runs: counters::FS_MODEL_RUNS.get(),
+        dense: counters::FS_DISPATCH_DENSE.get(),
+        reference: counters::FS_DISPATCH_REFERENCE.get(),
+        symbolic: counters::FS_DISPATCH_SYMBOLIC.get(),
+        direct: counters::FS_SYMBOLIC_DIRECT.get(),
+        fallbacks: counters::FS_SYMBOLIC_FALLBACKS.get(),
+    }
 }
 
 #[test]
@@ -79,13 +108,18 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
     obs::configure(obs::ObsConfig::enabled());
     obs::reset();
     let machine = presets::paper48();
-    // (kernel, inside the symbolic fragment, fits the dense tables)
-    let kernels = small_corpus().into_iter().map(|k| (k, true, true)).chain([
-        (triangular_kernel(), false, true),
-        (oversized_kernel(), true, false),
-    ]);
+    // (kernel, symbolic regime, fits the dense tables)
+    let kernels = small_corpus()
+        .into_iter()
+        .map(|k| (k, Regime::Direct, true))
+        .chain([
+            (closed_form_kernel(), Regime::ClosedForm, true),
+            (triangular_kernel(), Regime::Declined, true),
+            (oversized_kernel(), Regime::Direct, false),
+        ]);
 
-    for (kernel, in_fragment, fits) in kernels {
+    let mut symbolic_attempts = 0u64;
+    for (kernel, regime, fits) in kernels {
         for predict in [None, Some(4)] {
             for path in [FsPath::Optimized, FsPath::Reference, FsPath::Symbolic] {
                 let ctx = format!("kernel={} predict={predict:?} path={path:?}", kernel.name);
@@ -93,22 +127,42 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
                 opts.predict_chunk_runs = predict;
                 let before = tallies();
                 let cost = analyze_loop(&kernel, &machine, &opts);
-                let (runs, dense, reference, symbolic, fallbacks) = tallies();
+                let after = tallies();
+                symbolic_attempts += u64::from(path == FsPath::Symbolic);
 
-                assert!(runs > before.0, "{ctx}: no model run counted");
+                assert!(
+                    after.model_runs > before.model_runs,
+                    "{ctx}: no model run counted"
+                );
                 assert_eq!(
-                    dense + reference + symbolic,
-                    runs,
+                    after.dense + after.reference + after.symbolic,
+                    after.model_runs,
                     "{ctx}: dense + reference + symbolic != model_runs"
                 );
-                let fell_back = path == FsPath::Symbolic && !in_fragment;
                 assert_eq!(
-                    fallbacks > before.4,
-                    fell_back,
+                    after.symbolic + after.direct + after.fallbacks,
+                    symbolic_attempts,
+                    "{ctx}: dispatch_symbolic + symbolic_direct + symbolic_fallbacks \
+                     != symbolic attempts"
+                );
+                let outcome = |r| path == FsPath::Symbolic && regime == r;
+                assert_eq!(
+                    after.symbolic > before.symbolic,
+                    outcome(Regime::ClosedForm),
+                    "{ctx}: dispatch_symbolic moved wrongly"
+                );
+                assert_eq!(
+                    after.direct > before.direct,
+                    outcome(Regime::Direct),
+                    "{ctx}: symbolic_direct moved wrongly"
+                );
+                assert_eq!(
+                    after.fallbacks > before.fallbacks,
+                    outcome(Regime::Declined),
                     "{ctx}: symbolic_fallbacks moved wrongly"
                 );
                 let engine = match path {
-                    FsPath::Symbolic if in_fragment => FsPath::Symbolic,
+                    FsPath::Symbolic if regime == Regime::ClosedForm => FsPath::Symbolic,
                     FsPath::Reference => FsPath::Reference,
                     _ if fits => FsPath::Optimized,
                     _ => FsPath::Reference,
