@@ -2,7 +2,7 @@
 //! the dense `FsPath::Optimized` walk it short-circuits, on loops deep
 //! inside the decidable affine fragment.
 //!
-//! Two gates, both required for exit 0:
+//! Three gates, all required for exit 0:
 //!
 //! 1. **Fallback rate**: the symbolic path must decline no bundled corpus
 //!    kernel — `fs.symbolic_fallbacks` must not move — the symbolic counts
@@ -10,12 +10,17 @@
 //!    [`cost_model::capacity_prediction`] must predict its capacity misses
 //!    (the reuse-distance analysis covers the same corpus). Per kernel the
 //!    bench reports which engine answered the symbolic request (the closed
-//!    form, or the dense walk the symbolic engine hands small and
-//!    period-free runs to) and the symbolic and dense times.
+//!    form, or the dense walk: runs without a closed form finish on it)
+//!    and the symbolic and dense times.
 //! 2. **Speedup**: on large in-fragment kernels (many outer iterations, so
 //!    the dense walk replays millions of steps while the symbolic path
 //!    verifies one steady-state window and extrapolates), the aggregate
 //!    per-point speedup must reach `FS_SYMBOLIC_MIN_SPEEDUP` (default 50x).
+//! 3. **Never slower than dense**: on every corpus kernel and every paper
+//!    Tables I–VI kernel (`fs_bench::scale` heat, dft and linreg at both
+//!    chunks, at 8, 16 and 48 threads), the symbolic time must stay within
+//!    [`DENSE_BAND`] of the dense time (min of [`REPEAT`] interleaved runs
+//!    each).
 //!
 //! Prints per-point timings and writes `BENCH_symbolic.json` (uploaded as a
 //! CI artifact next to the other bench artifacts).
@@ -23,6 +28,7 @@
 use cost_model::{
     capacity_prediction, run_fs_model_prepared, CacheGeometry, FsModelConfig, FsPath,
 };
+use fs_bench::scale;
 use fs_core::{machines, JsonValue};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -30,6 +36,8 @@ use std::time::Instant;
 /// Required aggregate speedup of the symbolic path over the dense path,
 /// overridable via the `FS_SYMBOLIC_MIN_SPEEDUP` environment variable.
 const GATE: f64 = 50.0;
+/// Gate 3: symbolic time at most this multiple of the dense time.
+const DENSE_BAND: f64 = 1.15;
 const REPEAT: u32 = 3;
 const JSON_PATH: &str = "BENCH_symbolic.json";
 
@@ -62,11 +70,18 @@ impl Point {
 
 struct PointResult {
     name: String,
+    threads: u32,
     /// The engine that answered the symbolic request.
     engine: FsPath,
     fs_cases: u64,
     symbolic_s: f64,
     dense_s: f64,
+}
+
+impl PointResult {
+    fn ratio(&self) -> f64 {
+        self.symbolic_s / self.dense_s.max(1e-12)
+    }
 }
 
 fn points_json(results: &[PointResult]) -> JsonValue {
@@ -76,56 +91,105 @@ fn points_json(results: &[PointResult]) -> JsonValue {
             .map(|r| {
                 JsonValue::obj()
                     .field("kernel", r.name.as_str())
+                    .field("threads", r.threads)
                     .field("engine", r.engine.as_str())
                     .field("fs_cases", r.fs_cases)
                     .field("symbolic_seconds", r.symbolic_s)
                     .field("dense_seconds", r.dense_s)
+                    .field("symbolic_over_dense", r.ratio())
             })
             .collect(),
     )
 }
 
-/// [`time_path`] on [`FsPath::Symbolic`], also returning the declines it
-/// counted (`fs.symbolic_fallbacks`; the obs counters are process-global)
-/// and the engine that answered: the closed form, the dense walk, or the
-/// reference machine.
-fn time_symbolic(p: &Point, cfg: &FsModelConfig, reps: u32) -> (f64, u64, u64, FsPath) {
+/// Both paths on `p`: min-of-`reps` symbolic and min-of-`dense_reps` dense
+/// times, interleaved in alternating order so load drift on the host hits
+/// both alike, plus the symbolic declines (`fs.symbolic_fallbacks`; the obs
+/// counters are process-global) and the engine that answered the symbolic
+/// request: the closed form, the dense tables, or the reference machine.
+/// Errors if the two paths' counts differ.
+fn time_both(
+    p: &Point,
+    cfg: &FsModelConfig,
+    reps: u32,
+    dense_reps: u32,
+) -> Result<(PointResult, u64), String> {
     use fs_obs::counters::{FS_DISPATCH_DENSE, FS_DISPATCH_SYMBOLIC, FS_SYMBOLIC_FALLBACKS};
     let (fallbacks, symbolic, dense) = (
         FS_SYMBOLIC_FALLBACKS.get(),
         FS_DISPATCH_SYMBOLIC.get(),
         FS_DISPATCH_DENSE.get(),
     );
-    let (secs, cases) = time_path(p, cfg, FsPath::Symbolic, reps);
+    let (mut symbolic_s, mut dense_s) = (f64::INFINITY, f64::INFINITY);
+    let (mut sym_cases, mut dense_cases) = (0, 0);
+    for rep in 0..reps.max(dense_reps) {
+        // Alternate which path goes first, so neither always runs warm.
+        let order = if rep % 2 == 0 {
+            [FsPath::Symbolic, FsPath::Optimized]
+        } else {
+            [FsPath::Optimized, FsPath::Symbolic]
+        };
+        for path in order {
+            if path == FsPath::Symbolic && rep < reps {
+                let (secs, cases) = time_path(p, cfg, path);
+                symbolic_s = symbolic_s.min(secs);
+                sym_cases = cases;
+            } else if path == FsPath::Optimized && rep < dense_reps {
+                let (secs, cases) = time_path(p, cfg, path);
+                dense_s = dense_s.min(secs);
+                dense_cases = cases;
+            }
+        }
+    }
     let engine = if FS_DISPATCH_SYMBOLIC.get() > symbolic {
         FsPath::Symbolic
-    } else if FS_DISPATCH_DENSE.get() > dense {
+    } else if FS_DISPATCH_DENSE.get() > dense + u64::from(dense_reps) {
         FsPath::Optimized
     } else {
         FsPath::Reference
     };
-    (secs, cases, FS_SYMBOLIC_FALLBACKS.get() - fallbacks, engine)
+    if dense_cases != sym_cases {
+        return Err(format!(
+            "{} diverges: symbolic {sym_cases} vs dense {dense_cases}",
+            p.name
+        ));
+    }
+    let result = PointResult {
+        name: p.name.clone(),
+        threads: cfg.num_threads,
+        engine,
+        fs_cases: sym_cases,
+        symbolic_s,
+        dense_s,
+    };
+    Ok((result, FS_SYMBOLIC_FALLBACKS.get() - fallbacks))
 }
 
-/// Min-of-`reps` wall time of one full FS-model evaluation on `path`.
-///
-/// The symbolic side is timed min-of-[`REPEAT`] because it is milliseconds
-/// long and noise-sensitive; the dense side of the big speedup points runs
-/// once — at tens of seconds per point the measurement self-averages, and
-/// repeating it would triple the bench's wall time for no precision gain.
-fn time_path(p: &Point, cfg: &FsModelConfig, path: FsPath, reps: u32) -> (f64, u64) {
+/// Wall time and FS cases of one full FS-model evaluation on `path`.
+fn time_path(p: &Point, cfg: &FsModelConfig, path: FsPath) -> (f64, u64) {
     let mut cfg = cfg.clone();
     cfg.path = path;
-    let mut min = f64::INFINITY;
-    let mut cases = 0;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = run_fs_model_prepared(&p.kernel, &cfg, &p.plan, &p.bases);
-        min = min.min(t0.elapsed().as_secs_f64());
-        cases = r.fs_cases;
+    let t0 = Instant::now();
+    let r = run_fs_model_prepared(&p.kernel, &cfg, &p.plan, &p.bases);
+    let secs = t0.elapsed().as_secs_f64();
+    (secs, std::hint::black_box(r.fs_cases))
+}
+
+/// Gate 3 on one point: prints the ratio and whether it is in the band.
+fn within_band(r: &PointResult) -> bool {
+    let ok = r.ratio() <= DENSE_BAND;
+    if !ok {
+        eprintln!(
+            "symbolic_bench: {} at {} threads: symbolic {:.3} ms is {:.2}x dense {:.3} ms \
+             (band {DENSE_BAND}x)",
+            r.name,
+            r.threads,
+            r.symbolic_s * 1e3,
+            r.ratio(),
+            r.dense_s * 1e3
+        );
     }
-    std::hint::black_box(cases);
-    (min, cases)
+    ok
 }
 
 fn main() -> ExitCode {
@@ -141,35 +205,73 @@ fn main() -> ExitCode {
     let corpus = ["dft", "heat", "histogram", "linreg", "matmul", "stencil"];
     println!("## symbolic fallback rate: bundled corpus ({threads} threads, {REPEAT} reps)");
     let mut corpus_ok = true;
+    let mut band_ok = true;
     let mut corpus_results: Vec<PointResult> = Vec::new();
     for name in corpus {
         let kernel = fs_core::corpus_kernel(name).expect("bundled kernel");
         let p = Point::new(name, kernel, ls);
-        let (sym_s, sym_cases, fell, engine) = time_symbolic(&p, &cfg, REPEAT);
-        let (dense_s, dense_cases) = time_path(&p, &cfg, FsPath::Optimized, REPEAT);
-        let exact = sym_cases == dense_cases;
+        let (r, fell) = match time_both(&p, &cfg, REPEAT, REPEAT) {
+            Ok(timed) => timed,
+            Err(e) => {
+                eprintln!("symbolic_bench: {e}");
+                corpus_ok = false;
+                continue;
+            }
+        };
         let capacity = capacity_prediction(&p.kernel, &cfg, &geometry, &p.plan, &p.bases);
         let predicted = capacity.is_some();
         println!(
-            "{name:<12} engine {:<9}  symbolic {:>8.3} ms  dense {:>8.3} ms  \
-             cases {sym_cases:>8}  fallbacks {fell}  exact {exact}  capacity {predicted}",
-            engine.as_str(),
-            sym_s * 1e3,
-            dense_s * 1e3,
+            "{name:<12} engine {:<9}  symbolic {:>8.3} ms  dense {:>8.3} ms ({:.2}x)  \
+             cases {:>8}  fallbacks {fell}  capacity {predicted}",
+            r.engine.as_str(),
+            r.symbolic_s * 1e3,
+            r.dense_s * 1e3,
+            r.ratio(),
+            r.fs_cases,
         );
-        corpus_results.push(PointResult {
-            name: name.to_string(),
-            engine,
-            fs_cases: sym_cases,
-            symbolic_s: sym_s,
-            dense_s,
-        });
-        if fell > 0 || !exact || !predicted {
+        if fell > 0 || !predicted {
             eprintln!(
-                "symbolic_bench: {name} fell off the symbolic path, diverged, \
-                 or has no capacity prediction"
+                "symbolic_bench: {name} fell off the symbolic path or has no capacity prediction"
             );
             corpus_ok = false;
+        }
+        band_ok &= within_band(&r);
+        corpus_results.push(r);
+    }
+
+    // -- Gate 3: never slower than dense on the paper-table kernels -------
+    println!("## symbolic vs dense: Tables I-VI kernels, {REPEAT} reps");
+    let mut table_results: Vec<PointResult> = Vec::new();
+    type Family = (&'static str, fn(u64, u32) -> loop_ir::Kernel, (u64, u64));
+    let families: [Family; 3] = [
+        ("heat", scale::heat, scale::HEAT_CHUNKS),
+        ("dft", scale::dft, scale::DFT_CHUNKS),
+        ("linreg", scale::linreg, scale::LINREG_CHUNKS),
+    ];
+    for t in [8u32, 16, 48] {
+        let cfg = FsModelConfig::for_machine(&machine, t);
+        for (family, build, (c1, c2)) in families {
+            for chunk in [c1, c2] {
+                let p = Point::new(format!("{family}_c{chunk}"), build(chunk, t), ls);
+                let r = match time_both(&p, &cfg, REPEAT, REPEAT) {
+                    Ok((r, _)) => r,
+                    Err(e) => {
+                        eprintln!("symbolic_bench: {e}");
+                        band_ok = false;
+                        continue;
+                    }
+                };
+                println!(
+                    "{:<12} t{t:<3} engine {:<9}  symbolic {:>8.3} ms  dense {:>8.3} ms ({:.2}x)",
+                    r.name,
+                    r.engine.as_str(),
+                    r.symbolic_s * 1e3,
+                    r.dense_s * 1e3,
+                    r.ratio(),
+                );
+                band_ok &= within_band(&r);
+                table_results.push(r);
+            }
         }
     }
 
@@ -202,49 +304,53 @@ fn main() -> ExitCode {
     let mut results: Vec<PointResult> = Vec::new();
     let mut speed_ok = true;
     for p in &points {
-        let (sym_s, sym_cases, fell, engine) = time_symbolic(p, &cfg, REPEAT);
-        let (dense_s, dense_cases) = time_path(p, &cfg, FsPath::Optimized, 1);
+        // The dense side of these points runs once: at tens of seconds per
+        // point the measurement self-averages, and repeating it would
+        // triple the bench's wall time for no precision gain.
+        let (r, fell) = match time_both(p, &cfg, REPEAT, 1) {
+            Ok(timed) => timed,
+            Err(e) => {
+                eprintln!("symbolic_bench: {e}");
+                speed_ok = false;
+                continue;
+            }
+        };
         if fell > 0 {
             eprintln!("symbolic_bench: {} fell off the symbolic path", p.name);
             speed_ok = false;
         }
-        if sym_cases != dense_cases {
-            eprintln!(
-                "symbolic_bench: {} diverges: symbolic {sym_cases} vs dense {dense_cases}",
-                p.name
-            );
-            speed_ok = false;
-        }
         println!(
-            "{:<16} symbolic {:>9.3} ms, dense {:>9.3} ms ({:>7.0}x), {} cases",
+            "{:<16} engine {:<9} symbolic {:>9.3} ms, dense {:>9.3} ms ({:>7.0}x), {} cases",
             p.name,
-            sym_s * 1e3,
-            dense_s * 1e3,
-            dense_s / sym_s.max(1e-12),
-            sym_cases
+            r.engine.as_str(),
+            r.symbolic_s * 1e3,
+            r.dense_s * 1e3,
+            r.dense_s / r.symbolic_s.max(1e-12),
+            r.fs_cases
         );
-        results.push(PointResult {
-            name: p.name.clone(),
-            engine,
-            fs_cases: sym_cases,
-            symbolic_s: sym_s,
-            dense_s,
-        });
+        results.push(r);
     }
 
     let sym_total: f64 = results.iter().map(|r| r.symbolic_s).sum();
     let dense_total: f64 = results.iter().map(|r| r.dense_s).sum();
     let speedup = dense_total / sym_total.max(1e-12);
-    let pass = corpus_ok && speed_ok && speedup >= gate;
+    let worst_ratio = corpus_results
+        .iter()
+        .chain(&table_results)
+        .map(PointResult::ratio)
+        .fold(0.0, f64::max);
+    let pass = corpus_ok && speed_ok && band_ok && speedup >= gate;
     println!(
         "aggregate: symbolic {:.3} ms, dense {:.3} ms, speedup {speedup:.0}x \
-         (gate {gate:.0}x), corpus fallbacks {}: {}",
+         (gate {gate:.0}x), corpus fallbacks {}, worst symbolic/dense {worst_ratio:.2}x \
+         (band {DENSE_BAND}x): {}",
         sym_total * 1e3,
         dense_total * 1e3,
         if corpus_ok { "none" } else { "PRESENT" },
         if pass { "PASS" } else { "FAIL" }
     );
 
+    results.extend(table_results);
     let doc = JsonValue::obj()
         .field("benchmark", "symbolic")
         .field("threads", threads)
@@ -254,6 +360,9 @@ fn main() -> ExitCode {
         .field("corpus_zero_fallbacks", corpus_ok)
         .field("speedup", speedup)
         .field("gate", gate)
+        .field("dense_band", DENSE_BAND)
+        .field("worst_symbolic_over_dense", worst_ratio)
+        .field("within_dense_band", band_ok)
         .field("pass", pass);
     if let Err(e) = std::fs::write(JSON_PATH, doc.render_pretty()) {
         eprintln!("symbolic_bench: cannot write {JSON_PATH}: {e}");

@@ -423,6 +423,117 @@ impl<V: Default> DenseSetLru<V> {
         self.lens[set] -= 1;
         Some(std::mem::take(&mut self.nodes[slot as usize].value))
     }
+
+    /// Number of keys resident in `set`.
+    pub fn set_len(&self, set: usize) -> usize {
+        self.lens[set] as usize
+    }
+
+    /// `(key, value)` pairs resident in `set`, from most- to
+    /// least-recently used — the per-set counterpart of
+    /// [`LruCache::iter_mru`].
+    pub fn iter_set_mru(&self, set: usize) -> impl Iterator<Item = (u32, &V)> + '_ {
+        let mut cur = self.heads[set];
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let n = &self.nodes[cur as usize];
+            cur = n.next;
+            Some((n.key, &n.value))
+        })
+    }
+
+    /// Copy the recency lists into `lists`, reusing its buffers, with each
+    /// value replaced by `tag(key, value)`. One sequential pass over the
+    /// entries, with no list walking: a cheap snapshot of the state to
+    /// compare a later state against.
+    pub fn copy_lists<T>(&self, lists: &mut DenseSetLists<T>, tag: impl Fn(u32, &V) -> T) {
+        lists.nodes.clear();
+        lists.nodes.extend(self.nodes.iter().map(|n| ListNode {
+            key: n.key,
+            next: n.next,
+            value: tag(n.key, &n.value),
+        }));
+        lists.heads.clone_from(&self.heads);
+        lists.lens.clone_from(&self.lens);
+    }
+
+    /// Rebuild the index under new key names: every resident key `k`
+    /// becomes `rename(k)`, keeping its set, value and recency. Returns
+    /// false, with the cache untouched, when `rename` rejects any resident
+    /// key. The renamed keys must be distinct.
+    pub fn rename_keys(&mut self, rename: impl Fn(u32) -> Option<u32>) -> bool {
+        let mut moves: Vec<(u32, u32)> = Vec::new();
+        for set in 0..self.num_sets() {
+            let mut cur = self.heads[set];
+            while cur != NIL {
+                let n = &self.nodes[cur as usize];
+                let Some(key) = rename(n.key) else {
+                    return false;
+                };
+                moves.push((cur, key));
+                cur = n.next;
+            }
+        }
+        for &(slot, _) in &moves {
+            self.index[self.nodes[slot as usize].key as usize] = NIL;
+        }
+        for (slot, key) in moves {
+            self.ensure_key(key);
+            assert_eq!(self.index[key as usize], NIL, "renamed keys collide");
+            self.index[key as usize] = slot;
+            self.nodes[slot as usize].key = key;
+        }
+        true
+    }
+}
+
+/// One entry of a [`DenseSetLists`].
+#[derive(Debug, Clone)]
+struct ListNode<T> {
+    key: u32,
+    next: u32,
+    value: T,
+}
+
+/// The recency lists of a [`DenseSetLru`] without its key index, as
+/// copied by [`DenseSetLru::copy_lists`].
+#[derive(Debug, Clone)]
+pub struct DenseSetLists<V> {
+    nodes: Vec<ListNode<V>>,
+    heads: Vec<u32>,
+    lens: Vec<u32>,
+}
+
+impl<V> Default for DenseSetLists<V> {
+    fn default() -> Self {
+        DenseSetLists {
+            nodes: Vec::new(),
+            heads: Vec::new(),
+            lens: Vec::new(),
+        }
+    }
+}
+
+impl<V> DenseSetLists<V> {
+    /// Number of keys that were resident in `set`.
+    pub fn set_len(&self, set: usize) -> usize {
+        self.lens[set] as usize
+    }
+
+    /// `(key, value)` pairs that were resident in `set`, MRU first.
+    pub fn iter_set_mru(&self, set: usize) -> impl Iterator<Item = (u32, &V)> + '_ {
+        let mut cur = self.heads[set];
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let n = &self.nodes[cur as usize];
+            cur = n.next;
+            Some((n.key, &n.value))
+        })
+    }
 }
 
 /// Records the reuse (stack) distance of every access over an *unbounded*
@@ -654,6 +765,39 @@ mod tests {
         for key in 0..64u32 {
             assert_eq!(dense.peek(key), refs[(key as usize) % SETS].peek(&key));
         }
+    }
+
+    #[test]
+    fn dense_set_iteration_and_key_renaming_keep_recency() {
+        let mut c: DenseSetLru<u32> = DenseSetLru::new(2, 3, 0);
+        for key in [0u32, 2, 4, 1, 3] {
+            c.insert(key as usize % 2, key, key * 10);
+        }
+        c.touch(0);
+        let set0: Vec<(u32, u32)> = c.iter_set_mru(0).map(|(k, &v)| (k, v)).collect();
+        assert_eq!(set0, vec![(0, 0), (4, 40), (2, 20)]);
+        assert_eq!(c.set_len(1), 2);
+
+        // A copy keeps the lists as they were, tagged by key.
+        let mut copy = DenseSetLists::default();
+        c.copy_lists(&mut copy, |k, &v| (v, k + 100));
+        c.touch(2);
+        let copied: Vec<(u32, (u32, u32))> = copy.iter_set_mru(0).map(|(k, &v)| (k, v)).collect();
+        assert_eq!(copied, vec![(0, (0, 100)), (4, (40, 104)), (2, (20, 102))]);
+        assert_eq!(copy.set_len(1), 2);
+
+        // A rejected key leaves the cache untouched.
+        assert!(!c.rename_keys(|k| (k != 3).then_some(k + 10)));
+        assert_eq!(c.peek(3), Some(&30));
+
+        // Overlapping old and new names (2 -> 4 while 4 -> 6) are fine.
+        assert!(c.rename_keys(|k| Some(k + 2)));
+        let set0: Vec<(u32, u32)> = c.iter_set_mru(0).map(|(k, &v)| (k, v)).collect();
+        assert_eq!(set0, vec![(4, 20), (2, 0), (6, 40)]);
+        assert_eq!(c.peek(0), None);
+        assert_eq!(c.peek(5), Some(&30));
+        // Recency survives: set 0's LRU (old key 4, now 6) is evicted next.
+        assert_eq!(c.insert(0, 8, 80), Some((6, 40)));
     }
 
     #[test]

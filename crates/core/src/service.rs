@@ -295,10 +295,11 @@ pub struct ServiceOptions {
     pub consts: Vec<(String, i64)>,
     /// FS-model path for every analysis and grid point. The service
     /// defaults to [`FsPath::Symbolic`]: in-fragment kernels with a closed
-    /// form get exact counts without walking the loop, the rest of the
-    /// fragment is handed to the dense walk (see `fs.symbolic_direct`), and
-    /// out-of-fragment kernels fall back to the dense path (see
-    /// `fs.symbolic_fallbacks`), all with identical counts.
+    /// form get exact counts without walking the whole loop, the rest of
+    /// the fragment runs on the dense walk's tables at about the dense
+    /// walk's cost (see `fs.symbolic_direct`), and out-of-fragment kernels
+    /// fall back to the dense path (see `fs.symbolic_fallbacks`), all with
+    /// identical counts.
     pub path: FsPath,
 }
 

@@ -34,9 +34,10 @@
 //!   optimized path must produce *identical* counts, which the equivalence
 //!   property tests and `fs_model_bench` enforce.
 //! * [`FsPath::Symbolic`] derives the counts in closed form inside the
-//!   decidable affine fragment ([`crate::symbolic`]), hands in-fragment
-//!   runs without a closed form to the optimized path, and falls back to
-//!   the optimized path outside the fragment.
+//!   decidable affine fragment ([`crate::symbolic`]), running its period
+//!   windows on the optimized path's tables and finishing in-fragment runs
+//!   without a closed form there, and falls back to the optimized path
+//!   outside the fragment.
 //!
 //! Faithfulness notes:
 //! * Like the paper, the per-thread cache states are independent LRU stacks;
@@ -65,7 +66,7 @@ pub const MAX_MODEL_THREADS: u32 = 64;
 /// Dense-table ceiling: kernels whose array footprint exceeds this many
 /// cache lines (4 Mi lines = 256 MiB of arrays at 64-byte lines) fall back
 /// to the reference path rather than allocating per-thread flat tables.
-const DENSE_LINE_LIMIT: u64 = 1 << 22;
+pub(crate) const DENSE_LINE_LIMIT: u64 = 1 << 22;
 
 /// Which FS-model engine to run. The engines compute the same model, so a
 /// full-loop run ([`run_fs_model`]) gives identical counts on every path.
@@ -84,15 +85,15 @@ pub enum FsPath {
     Reference,
     /// Closed-form chunk-boundary reasoning: inside the decidable affine
     /// fragment the per-period FS deltas are derived once and extrapolated
-    /// (see [`crate::symbolic`]). In-fragment runs without a closed form —
-    /// too small for the period machinery, no period plan, or no period
-    /// verified — are handed to [`FsPath::Optimized`] (counted by
-    /// `fs.symbolic_direct`): the dense walk gives the same counts at about
-    /// a fifth of the reference machine's cost per access, which the
-    /// symbolic engine would otherwise simulate them on. Outside the
-    /// fragment, dispatch falls back to [`FsPath::Optimized`] exactly as
-    /// `fslint` falls back to Unknown (counted by `fs.symbolic_fallbacks`).
-    /// Either way the engine that ran is what a result reports.
+    /// (see [`crate::symbolic`]). The period windows run on the dense
+    /// walk's tables. In-fragment runs without a closed form — too short
+    /// for the windows, no period plan, or no period verified — run on
+    /// those tables too (counted by `fs.symbolic_direct`), a failed attempt
+    /// finishing in place, so this path costs about what
+    /// [`FsPath::Optimized`] costs on them. Outside the fragment, dispatch
+    /// falls back to [`FsPath::Optimized`] exactly as `fslint` falls back
+    /// to Unknown (counted by `fs.symbolic_fallbacks`). Either way the
+    /// engine that ran is what a result reports.
     Symbolic,
 }
 
@@ -645,7 +646,7 @@ pub(crate) fn dispatch_fs_model(
             run_fs_model_reference(kernel, cfg, plan, bases),
             FsPath::Reference,
         ),
-        FsPath::Symbolic => try_symbolic(kernel, cfg, plan, bases)
+        FsPath::Symbolic => try_symbolic(kernel, cfg, plan, bases, true)
             .unwrap_or_else(|| run_dense_or_reference(kernel, cfg, plan, bases)),
         FsPath::Optimized => run_dense_or_reference(kernel, cfg, plan, bases),
     };
@@ -658,25 +659,27 @@ pub(crate) fn dispatch_fs_model(
 
 /// The symbolic path's exact answer and the engine that gave it: the
 /// closed form when one verifies, else the dense walk (or reference, past
-/// the dense-table limit) for in-fragment runs the symbolic engine hands
-/// over, counted in `fs.symbolic_direct`. `None` outside the decidable
-/// fragment or its work budget, counted in `fs.symbolic_fallbacks`; the
-/// caller picks the fallback.
+/// the dense-table limit), counted in `fs.symbolic_direct`. A decline —
+/// outside the decidable fragment or its work budget — is counted in
+/// `fs.symbolic_fallbacks` and returns `None`, unless `finish_declined` is
+/// set and the attempt had started: then the attempt finishes the run in
+/// place and returns it. Otherwise the caller picks the fallback.
 pub(crate) fn try_symbolic(
     kernel: &Kernel,
     cfg: &FsModelConfig,
     plan: &AccessPlan,
     bases: &[u64],
+    finish_declined: bool,
 ) -> Option<(FsModelResult, FsPath)> {
-    match crate::symbolic::run_symbolic(kernel, cfg, plan, bases) {
-        Some(SymbolicRun::ClosedForm(r)) => Some((r, FsPath::Symbolic)),
-        Some(SymbolicRun::Direct) => {
+    match crate::symbolic::run_symbolic(kernel, cfg, plan, bases, finish_declined) {
+        SymbolicRun::ClosedForm(r) => Some((r, FsPath::Symbolic)),
+        SymbolicRun::Direct(r, engine) => {
             fs_obs::counters::FS_SYMBOLIC_DIRECT.inc();
-            Some(run_dense_or_reference(kernel, cfg, plan, bases))
+            Some((r, engine))
         }
-        None => {
+        SymbolicRun::Declined(finished) => {
             fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
-            None
+            finished
         }
     }
 }
@@ -702,9 +705,10 @@ pub(crate) fn record_model_run(result: &FsModelResult, engine: FsPath) {
 }
 
 /// The [`FsPath::Optimized`] dispatch: dense tables when the footprint
-/// fits, reference otherwise. Also the landing site of symbolic fallbacks
-/// and of the symbolic engine's direct hand-offs.
-fn run_dense_or_reference(
+/// fits, reference otherwise. Also the landing site of symbolic declines
+/// that simulated nothing, and of the symbolic engine's hand-offs of runs
+/// too small for a window or without a period plan.
+pub(crate) fn run_dense_or_reference(
     kernel: &Kernel,
     cfg: &FsModelConfig,
     plan: &AccessPlan,
@@ -798,20 +802,238 @@ fn run_fs_model_reference(
     result
 }
 
-/// The strength-reduced dense-table implementation of the same model.
-///
-/// Per access, the reference path pays an affine subscript evaluation plus
+/// The optimized path's per-access state machine: [`RefMachine`]'s
+/// semantics over dense line tables. Per access, the reference machine pays
 /// three to four hash probes (`writers`, `phys_writers`, `per_line_cases`,
-/// and the LRU's inner map). Here:
+/// and the LRU's inner map); here:
 ///
-/// * addresses come from a [`StreamCursor`] advanced by constant per-loop-
-///   variable byte deltas ([`AccessPlan::compile`]);
 /// * cache lines are interned to dense `u32` ids ([`LineInterner`]), so the
 ///   writer masks, event masks and per-line counters are flat `Vec`s and
 ///   the LRU states are [`DenseSetLru`]s — every probe a plain array load;
 /// * the set index is computed from the *original* line number (masked when
 ///   the set count is a power of two), keeping set assignment, ways and LRU
 ///   order bit-identical to [`CacheState`].
+///
+/// Two drivers run it: the dense walk ([`run_fs_model_optimized`]) and the
+/// symbolic engine's period windows ([`crate::symbolic`]).
+pub(crate) struct DenseMachine {
+    line_size: u64,
+    granules: u64,
+    num_sets: usize,
+    set_mask: Option<u64>,
+    count_true_sharing: bool,
+    invalidate_on_detect: bool,
+    interner: LineInterner,
+    /// Writer index by line id (see [`RefMachine::writers`]).
+    pub(crate) writers: Vec<u64>,
+    /// Physical writer index by line id (see [`RefMachine::phys_writers`]).
+    pub(crate) phys_writers: Vec<u64>,
+    /// FS cases per line id, not yet flushed into a result.
+    line_cases: Vec<u64>,
+    pub(crate) states: Vec<DenseSetLru<LineInfo>>,
+    pub(crate) evictions: u64,
+    /// The (thread, set) list where the window engine's last state compare
+    /// failed; the next compare starts there.
+    pub(crate) mismatch_hint: std::cell::Cell<usize>,
+}
+
+impl DenseMachine {
+    /// Tables for a kernel whose array footprint spans `footprint_lines`.
+    pub(crate) fn new(cfg: &FsModelConfig, footprint_lines: u64) -> Self {
+        let num_threads = cfg.num_threads.max(1) as usize;
+        let (num_sets, ways) = set_geometry(cfg.stack_lines, cfg.stack_sets);
+        let interner = LineInterner::new(Self::identity_lines(footprint_lines));
+        let table_len = interner.len();
+        DenseMachine {
+            line_size: cfg.line_size,
+            granules: cfg.line_size / 64,
+            num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets as u64 - 1),
+            count_true_sharing: cfg.count_true_sharing,
+            invalidate_on_detect: cfg.invalidate_on_detect,
+            interner,
+            writers: vec![0; table_len],
+            phys_writers: vec![0; table_len],
+            line_cases: vec![0; table_len],
+            states: (0..num_threads)
+                .map(|_| DenseSetLru::new(num_sets, ways, table_len))
+                .collect(),
+            evictions: 0,
+            mismatch_hint: std::cell::Cell::new(0),
+        }
+    }
+
+    /// Lines below this are their own ids in tables for a kernel whose
+    /// array footprint spans `footprint_lines`: +2 lines of slack, since
+    /// halo reads one element past the last array still land in its
+    /// line-aligned padding.
+    pub(crate) fn identity_lines(footprint_lines: u64) -> u64 {
+        footprint_lines + 2
+    }
+
+    /// Process one access by thread `t` at byte address `addr`, accumulating
+    /// counts into `res` (per-line counts stay in the tables until
+    /// [`Self::flush_line_cases`]).
+    #[inline(always)]
+    pub(crate) fn access(
+        &mut self,
+        t: usize,
+        addr: u64,
+        size: u64,
+        is_write: bool,
+        res: &mut FsModelResult,
+    ) {
+        let line = addr / self.line_size;
+        let off = addr % self.line_size;
+        let (moff, msz) = if self.granules <= 1 {
+            (off.min(63), size.min(64 - off.min(63)))
+        } else {
+            ((off / self.granules).min(63), 1)
+        };
+        let mask: u64 = if msz >= 64 {
+            u64::MAX
+        } else {
+            ((1u64 << msz) - 1) << moff
+        };
+        let self_bit = 1u64 << t;
+
+        let set = match self.set_mask {
+            Some(m) => (line & m) as usize,
+            None => (line % self.num_sets as u64) as usize,
+        };
+        let id = self.interner.id_of(line);
+        let idx = id as usize;
+        if idx >= self.writers.len() {
+            // A new overflow line: grow every id-indexed table.
+            self.writers.resize(idx + 1, 0);
+            self.phys_writers.resize(idx + 1, 0);
+            self.line_cases.resize(idx + 1, 0);
+        }
+        let states = &mut self.states;
+
+        // Step 4: 1-to-All comparison against other cache states.
+        let wmask = self.writers[idx];
+        let others = wmask & !self_bit;
+        if others != 0 {
+            let mut fs = 0u64;
+            let mut ts = 0u64;
+            // Iterate set bits in ascending thread order (same order as the
+            // reference path's scan).
+            let mut rem = others;
+            while rem != 0 {
+                let k = rem.trailing_zeros() as usize;
+                rem &= rem - 1;
+                let remote = states[k].peek(id).copied().unwrap_or_default();
+                if remote.written_bytes & mask != 0 {
+                    ts += 1;
+                } else {
+                    fs += 1;
+                }
+                if self.invalidate_on_detect {
+                    if let Some(info) = states[k].touch(id) {
+                        info.written = false;
+                        info.written_bytes = 0;
+                    }
+                }
+            }
+            if self.invalidate_on_detect {
+                self.writers[idx] = wmask & self_bit;
+            }
+            let counted_fs = if self.count_true_sharing { fs + ts } else { fs };
+            res.fs_cases += counted_fs;
+            res.true_sharing_cases += ts;
+            if counted_fs > 0 {
+                res.per_thread_cases[t] += counted_fs;
+                self.line_cases[idx] += counted_fs;
+            }
+        }
+
+        // Physical event counting (invalidation semantics).
+        let pmask = self.phys_writers[idx];
+        let pothers = pmask & !self_bit;
+        if pothers != 0 {
+            let mut overlap = false;
+            let mut rem = pothers;
+            while rem != 0 {
+                let k = rem.trailing_zeros() as usize;
+                rem &= rem - 1;
+                if let Some(info) = states[k].peek(id) {
+                    if info.written_bytes & mask != 0 {
+                        overlap = true;
+                        break;
+                    }
+                }
+            }
+            if overlap {
+                res.ts_events += 1;
+            } else if is_write {
+                res.fs_write_events += 1;
+                res.fs_events += 1;
+            } else {
+                res.fs_read_events += 1;
+                res.fs_events += 1;
+            }
+            self.phys_writers[idx] = pmask & self_bit;
+        }
+        if is_write {
+            self.phys_writers[idx] |= self_bit;
+        }
+
+        // Step 3: insert into this thread's cache state (LRU).
+        let st = &mut states[t];
+        st.ensure_key(id);
+        if let Some(info) = st.touch(id) {
+            if is_write {
+                if !info.written {
+                    self.writers[idx] |= self_bit;
+                }
+                info.written = true;
+                info.written_bytes |= mask;
+            }
+        } else {
+            let info = LineInfo {
+                written: is_write,
+                written_bytes: if is_write { mask } else { 0 },
+            };
+            if is_write {
+                self.writers[idx] |= self_bit;
+            }
+            if let Some((evicted, einfo)) = st.insert(set, id, info) {
+                self.evictions += 1;
+                if einfo.written {
+                    self.writers[evicted as usize] &= !self_bit;
+                    self.phys_writers[evicted as usize] &= !self_bit;
+                }
+            }
+        }
+    }
+
+    /// Move the per-line FS cases accumulated since the last flush into
+    /// `res.per_line_cases`.
+    pub(crate) fn flush_line_cases(&mut self, res: &mut FsModelResult) {
+        for (idx, c) in self.line_cases.iter_mut().enumerate() {
+            if *c > 0 {
+                *res.per_line_cases
+                    .entry(self.interner.line_of(idx as u32))
+                    .or_insert(0) += *c;
+                *c = 0;
+            }
+        }
+    }
+
+    /// Flush the per-line cases into `res` and the run's totals into the
+    /// obs counters.
+    pub(crate) fn finish(mut self, res: &mut FsModelResult) {
+        fs_obs::counters::FS_LRU_EVICTIONS.add(self.evictions);
+        fs_obs::counters::FS_LINE_TABLE_SLOTS.add(self.interner.len() as u64);
+        self.flush_line_cases(res);
+    }
+}
+
+/// The strength-reduced dense-table implementation of the same model:
+/// addresses come from a [`StreamCursor`] advanced by constant per-loop-
+/// variable byte deltas ([`AccessPlan::compile`]), and steps 3 + 4 run on a
+/// [`DenseMachine`].
 fn run_fs_model_optimized(
     kernel: &Kernel,
     cfg: &FsModelConfig,
@@ -822,22 +1044,7 @@ fn run_fs_model_optimized(
     let _span = fs_obs::span("fs.dense");
     let setup_span = fs_obs::span("fs.setup");
     let num_threads = cfg.num_threads.max(1) as usize;
-    let (num_sets, ways) = set_geometry(cfg.stack_lines, cfg.stack_sets);
-    let set_mask = num_sets.is_power_of_two().then(|| num_sets as u64 - 1);
-
-    // +2 lines of slack: halo reads one element past the last array still
-    // land in its line-aligned padding.
-    let mut interner = LineInterner::new(footprint_lines + 2);
-    let table_len = interner.len();
-    // Dense tables, indexed by interned line id (grown in lockstep with the
-    // interner's overflow region).
-    let mut writers: Vec<u64> = vec![0; table_len];
-    let mut phys_writers: Vec<u64> = vec![0; table_len];
-    let mut line_cases: Vec<u64> = vec![0; table_len];
-    let mut states: Vec<DenseSetLru<LineInfo>> = (0..num_threads)
-        .map(|_| DenseSetLru::new(num_sets, ways, table_len))
-        .collect();
-
+    let mut machine = DenseMachine::new(cfg, footprint_lines);
     let mut result = FsModelResult::empty(num_threads);
 
     let mut walker = LockstepWalker::new(kernel, num_threads as u64);
@@ -862,10 +1069,6 @@ fn run_fs_model_optimized(
     // Flat per-access metadata (the only fields the hot loop needs).
     let acc_is_write: Vec<bool> = plan.accesses.iter().map(|a| a.is_write).collect();
     let acc_size: Vec<u64> = plan.accesses.iter().map(|a| a.size as u64).collect();
-
-    let line_size = cfg.line_size;
-    let granules = line_size / 64;
-    let mut evictions = 0u64;
     drop(setup_span);
 
     let walk_span = fs_obs::span("fs.walk");
@@ -876,142 +1079,12 @@ fn run_fs_model_optimized(
             }
         }
         let mut iter_count = 0u64;
-        let states_ref = &mut states;
-        let writers_ref = &mut writers;
-        let phys_ref = &mut phys_writers;
-        let cases_ref = &mut line_cases;
-        let interner_ref = &mut interner;
-        let acc_is_write_ref = &acc_is_write;
-        let acc_size_ref = &acc_size;
-        let evict_ref = &mut evictions;
+        let machine_ref = &mut machine;
         let res = &mut result;
         let more = walker.step_streams(&cplan, &mut cursors, |t, _env, addrs| {
             iter_count += 1;
-            let self_bit = 1u64 << t;
             for (i, &raw) in addrs.iter().enumerate() {
-                let addr = raw as u64;
-                let line = addr / line_size;
-                let off = addr % line_size;
-                let (moff, msz) = if granules <= 1 {
-                    (off.min(63), acc_size_ref[i].min(64 - off.min(63)))
-                } else {
-                    ((off / granules).min(63), 1)
-                };
-                let mask: u64 = if msz >= 64 {
-                    u64::MAX
-                } else {
-                    ((1u64 << msz) - 1) << moff
-                };
-                let is_write = acc_is_write_ref[i];
-
-                let set = match set_mask {
-                    Some(m) => (line & m) as usize,
-                    None => (line % num_sets as u64) as usize,
-                };
-                let id = interner_ref.id_of(line);
-                let idx = id as usize;
-                if idx >= writers_ref.len() {
-                    // A new overflow line: grow every id-indexed table.
-                    writers_ref.resize(idx + 1, 0);
-                    phys_ref.resize(idx + 1, 0);
-                    cases_ref.resize(idx + 1, 0);
-                }
-
-                // Step 4: 1-to-All comparison against other cache states.
-                let wmask = writers_ref[idx];
-                let others = wmask & !self_bit;
-                if others != 0 {
-                    let mut fs = 0u64;
-                    let mut ts = 0u64;
-                    // Iterate set bits in ascending thread order (same
-                    // order as the reference path's scan).
-                    let mut rem = others;
-                    while rem != 0 {
-                        let k = rem.trailing_zeros() as usize;
-                        rem &= rem - 1;
-                        let remote = states_ref[k].peek(id).copied().unwrap_or_default();
-                        if remote.written_bytes & mask != 0 {
-                            ts += 1;
-                        } else {
-                            fs += 1;
-                        }
-                        if cfg.invalidate_on_detect {
-                            if let Some(info) = states_ref[k].touch(id) {
-                                info.written = false;
-                                info.written_bytes = 0;
-                            }
-                        }
-                    }
-                    if cfg.invalidate_on_detect {
-                        writers_ref[idx] = wmask & self_bit;
-                    }
-                    let counted_fs = if cfg.count_true_sharing { fs + ts } else { fs };
-                    res.fs_cases += counted_fs;
-                    res.true_sharing_cases += ts;
-                    if counted_fs > 0 {
-                        res.per_thread_cases[t] += counted_fs;
-                        cases_ref[idx] += counted_fs;
-                    }
-                }
-
-                // Physical event counting (invalidation semantics).
-                let pmask = phys_ref[idx];
-                let pothers = pmask & !self_bit;
-                if pothers != 0 {
-                    let mut overlap = false;
-                    let mut rem = pothers;
-                    while rem != 0 {
-                        let k = rem.trailing_zeros() as usize;
-                        rem &= rem - 1;
-                        if let Some(info) = states_ref[k].peek(id) {
-                            if info.written_bytes & mask != 0 {
-                                overlap = true;
-                                break;
-                            }
-                        }
-                    }
-                    if overlap {
-                        res.ts_events += 1;
-                    } else if is_write {
-                        res.fs_write_events += 1;
-                        res.fs_events += 1;
-                    } else {
-                        res.fs_read_events += 1;
-                        res.fs_events += 1;
-                    }
-                    phys_ref[idx] = pmask & self_bit;
-                }
-                if is_write {
-                    phys_ref[idx] |= self_bit;
-                }
-
-                // Step 3: insert into this thread's cache state (LRU).
-                let st = &mut states_ref[t];
-                st.ensure_key(id);
-                if let Some(info) = st.touch(id) {
-                    if is_write {
-                        if !info.written {
-                            writers_ref[idx] |= self_bit;
-                        }
-                        info.written = true;
-                        info.written_bytes |= mask;
-                    }
-                } else {
-                    let info = LineInfo {
-                        written: is_write,
-                        written_bytes: if is_write { mask } else { 0 },
-                    };
-                    if is_write {
-                        writers_ref[idx] |= self_bit;
-                    }
-                    if let Some((evicted, einfo)) = st.insert(set, id, info) {
-                        *evict_ref += 1;
-                        if einfo.written {
-                            writers_ref[evicted as usize] &= !self_bit;
-                            phys_ref[evicted as usize] &= !self_bit;
-                        }
-                    }
-                }
+                machine_ref.access(t, raw as u64, acc_size[i], acc_is_write[i], res);
             }
         });
         if !more {
@@ -1026,16 +1099,8 @@ fn run_fs_model_optimized(
         }
     }
     drop(walk_span);
-    fs_obs::counters::FS_LRU_EVICTIONS.add(evictions);
-    fs_obs::counters::FS_LINE_TABLE_SLOTS.add(interner.len() as u64);
     result.finish_series(steps_per_run);
-    for (idx, &c) in line_cases.iter().enumerate() {
-        if c > 0 {
-            result
-                .per_line_cases
-                .insert(interner.line_of(idx as u32), c);
-        }
-    }
+    machine.finish(&mut result);
     result
 }
 

@@ -133,7 +133,7 @@ pub(crate) fn predict_dispatch(
     // the sampled regression when the symbolic engine declines (outside the
     // decidable fragment or its direct-work budget).
     if cfg.path == FsPath::Symbolic {
-        if let Some((full, engine)) = try_symbolic(kernel, cfg, plan, bases) {
+        if let Some((full, engine)) = try_symbolic(kernel, cfg, plan, bases, false) {
             // A full model run in its own right.
             record_model_run(&full, engine);
             let cases = full.fs_cases as f64;
@@ -288,7 +288,7 @@ mod tests {
         let mut reference = c.clone();
         reference.path = FsPath::Reference;
         let direct = kernels::heat_diffusion(34, 258, 1);
-        let closed_form = kernels::heat_diffusion(66, 258, 1);
+        let closed_form = kernels::heat_diffusion(130, 258, 1);
         for (k, engine) in [
             (&direct, FsPath::Optimized),
             (&closed_form, FsPath::Symbolic),

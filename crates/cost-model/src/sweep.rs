@@ -148,6 +148,11 @@ impl EarlyExit {
         // Cheap probe: learn x_max (total chunk runs) from a minimal sample.
         let probe =
             predict_fs_prepared(kernel, cfg, self.min_runs.max(2), &prep.plan, &prep.bases)?;
+        if probe.exact {
+            // The probe already ran the whole loop (the symbolic path's
+            // exact answer): no sample can be cheaper than the full model.
+            return None;
+        }
         let total = probe.total_chunk_runs;
         let outer = kernel.nest.outer_iters().unwrap_or(1).max(1);
         let per_instance = (total / outer).max(1);
@@ -717,7 +722,7 @@ mod tests {
     fn fs_path_participates_in_point_identity() {
         let mut memo = MemoCache::new();
         // Large enough for the symbolic engine's closed form to engage.
-        let k = kernel_at_chunk(&kernels::heat_diffusion(66, 258, 1), 1);
+        let k = kernel_at_chunk(&kernels::heat_diffusion(130, 258, 1), 1);
         let m = presets::paper48();
         let dense = evaluate_point(&k, &m, 8, EvalMode::Full, FsPath::Optimized, &mut memo);
         let symbolic = evaluate_point(&k, &m, 8, EvalMode::Full, FsPath::Symbolic, &mut memo);

@@ -17,73 +17,129 @@
 //! resident line of the machine state by `Δ_r` commutes with set selection,
 //! byte masks, LRU order and writer masks.
 //!
-//! The engine simulates window by window with the exact `RefMachine`
-//! semantics and, at each window boundary, compares the machine state with
-//! a shifted snapshot from one or two windows back. One verified pair
-//! proves (by induction, since the per-access transition function commutes
-//! with the shift) that every later window emits the *same* count deltas on
-//! shifted lines; one more simulated window records those deltas, and the
+//! The engine simulates window by window on the dense walk's own machine
+//! (`DenseMachine`) and, at each window boundary, compares the machine
+//! state with a shifted snapshot from one or two windows back. A window is
+//! the smallest multiple of the period whose accesses outnumber the
+//! snapshot entries `WINDOW_WORK_PER_ENTRY` times over, so the bookkeeping
+//! stays a bounded fraction of the simulation. One verified pair proves (by
+//! induction, since the per-access transition function commutes with the
+//! shift) that every later window emits the *same* count deltas on shifted
+//! lines; one more simulated window records those deltas, and the
 //! remaining `k` windows are applied in closed form: `O(1)` scalar updates
 //! per window plus the per-line/series output the dense path would emit
-//! anyway. The LRU/writer state is then translated by `k·Δ` and the ragged
+//! anyway. The machine state is then translated by `k·Δ` and the ragged
 //! tail (short chunks, truncation) is simulated exactly.
 //!
-//! The engine never simulates a whole loop on `RefMachine`: kernels whose
-//! caches never reach a shifted steady state (footprints smaller than the
-//! stack, non-uniform schedules, multiple changing outer loops), and runs
-//! too small to be worth the snapshot bookkeeping, come back as
-//! `SymbolicRun::Direct` and the dispatcher answers them with the dense
-//! walk, which gives the same counts at about a fifth of the reference
-//! machine's cost per access. Anything whose remaining work would exceed
-//! `DIRECT_WORK_LIMIT` returns `None` and the dispatcher falls back to
-//! [`crate::fs::FsPath::Optimized`], exactly as `fslint` falls back to
-//! Unknown outside its fragment.
+//! When no period verifies — caches that never reach a shifted steady
+//! state, super-periods longer than two windows, or a work budget spent in
+//! warm-up — the simulated steps are a valid prefix of the run, and the
+//! engine finishes it in place on the same machine. Runs too small to be
+//! worth a window, and runs with no period plan (non-uniform schedules,
+//! several changing outer loops), go straight to the dense walk. A run
+//! declines when it is outside the fragment, or when the work left after a
+//! failed attempt exceeds `DIRECT_WORK_LIMIT`, exactly as `fslint` falls
+//! back to Unknown outside its fragment. Past the dense-table limit the
+//! windows run on `RefMachine` instead, through the same window logic.
 
-use crate::fs::{set_geometry, FsModelConfig, FsModelResult, LineInfo, RefMachine};
+use crate::fs::{
+    run_dense_or_reference, set_geometry, DenseMachine, FsModelConfig, FsModelResult, FsPath,
+    LineInfo, RefMachine, DENSE_LINE_LIMIT,
+};
 use crate::lint::gcd;
-use cache_sim::lru::LruCache;
+use cache_sim::lru::{DenseSetLists, LruCache};
 use loop_ir::schedule::ChunkSchedule;
 use loop_ir::{AccessPlan, CompiledPlan, Kernel, StreamCursor};
 use std::collections::HashMap;
 
 /// Ceiling on `steps × threads × accesses` the symbolic path answers
 /// without a closed form: it bounds the windowed warm-up, and a run whose
-/// remaining work exceeds it declines instead of being handed to the dense
-/// walk.
+/// remaining work after a failed attempt exceeds it declines.
 const DIRECT_WORK_LIMIT: u64 = 1 << 23;
 
-/// Below this much total work, the dense walk is cheaper than snapshot
-/// bookkeeping; skip the periodicity machinery entirely.
-const SMALL_DIRECT_WORK: u64 = 1 << 16;
-
-/// Longest period window (in lockstep steps) worth verifying.
+/// Longest period (in lockstep steps) worth verifying.
 const MAX_WINDOW_STEPS: u64 = 1 << 16;
+
+/// Minimum accesses simulated per snapshot entry (`threads × stack lines`)
+/// in one window: window boundaries sit at the smallest multiple of the
+/// period with at least this many, so snapshots and compares cost a
+/// bounded fraction of the simulation. Chosen from `symbolic_bench`-style
+/// timings on a 2-core host (docs/HOTPATH.md): at 2 the 48-thread heat c64
+/// table, which never verifies, measured about 1.2x the dense walk; at 8
+/// the 48-thread heat c1 table loses its closed form; 4 keeps both.
+const WINDOW_WORK_PER_ENTRY: u64 = 4;
+
+/// Fewest windows a closed form needs: one to warm up, one to verify
+/// against it, one to record, and one to extrapolate. Shorter runs (at
+/// full window size) go to the dense walk.
+const MIN_WINDOWS: u64 = 4;
 
 /// Ceiling on extrapolated series entries (`k × runs_per_window`): beyond
 /// this the output itself is the bottleneck and no path is viable.
 const MAX_SERIES_ENTRIES: u64 = 1 << 24;
 
-/// An in-fragment answer of the symbolic engine.
+/// An answer of the symbolic engine.
 pub(crate) enum SymbolicRun {
     /// Counts from a verified closed form (or a run with nothing to
     /// evaluate).
     ClosedForm(FsModelResult),
-    /// Exact, but no closed form: the run is too small for the periodicity
-    /// machinery, has no period plan, or no period verified. Its remaining
-    /// work is within `DIRECT_WORK_LIMIT`, and the caller answers it with
-    /// the dense walk.
-    Direct,
+    /// Exact counts without a closed form, from the engine named: the run
+    /// was too small for a window, had no period plan, or no period
+    /// verified and the attempt finished in place.
+    Direct(FsModelResult, FsPath),
+    /// Outside the fragment, or the work left after a failed attempt
+    /// exceeds `DIRECT_WORK_LIMIT`. Carries the finished run when the
+    /// caller asked for one and an attempt had started.
+    Declined(Option<(FsModelResult, FsPath)>),
 }
 
-/// Closed-form evaluation of the FS model. Returns `None` when the kernel
-/// is outside the decidable fragment (non-constant bounds) or the run would
-/// exceed the direct-work budget without a verified period.
+/// How the engine sizes its windows and picks its machine. Production runs
+/// [`Tuning::PRODUCTION`]; tests drop the size floor to reach the windows
+/// on small runs, and force the reference machine.
+#[derive(Debug, Clone, Copy)]
+struct Tuning {
+    /// Hand runs too short for `MIN_WINDOWS` full-size windows (and within
+    /// the direct-work budget) to the dense walk.
+    size_floor: bool,
+    /// Run the windows on [`RefMachine`] whatever the footprint.
+    reference_machine: bool,
+}
+
+impl Tuning {
+    const PRODUCTION: Tuning = Tuning {
+        size_floor: true,
+        reference_machine: false,
+    };
+}
+
+/// Closed-form evaluation of the FS model. A declined run that had started
+/// its windows is finished in place when `finish_declined` is set (a full
+/// model run wants the counts; a predictor falls back to its fit instead).
 pub(crate) fn run_symbolic(
     kernel: &Kernel,
     cfg: &FsModelConfig,
     plan: &AccessPlan,
     bases: &[u64],
-) -> Option<SymbolicRun> {
+    finish_declined: bool,
+) -> SymbolicRun {
+    run_tuned(
+        kernel,
+        cfg,
+        plan,
+        bases,
+        finish_declined,
+        Tuning::PRODUCTION,
+    )
+}
+
+fn run_tuned(
+    kernel: &Kernel,
+    cfg: &FsModelConfig,
+    plan: &AccessPlan,
+    bases: &[u64],
+    finish_declined: bool,
+    tuning: Tuning,
+) -> SymbolicRun {
     let _span = fs_obs::span("fs.symbolic");
     let num_threads = cfg.num_threads.max(1) as usize;
     let nest = &kernel.nest;
@@ -93,13 +149,18 @@ pub(crate) fn run_symbolic(
     // `lint::ByteAffine` draws.
     let mut trips = Vec::with_capacity(nest.loops.len());
     for l in &nest.loops {
-        trips.push(l.const_trip_count()?);
+        let Some(trip) = l.const_trip_count() else {
+            return SymbolicRun::Declined(None);
+        };
+        trips.push(trip);
     }
-    let sched = ChunkSchedule::for_loop(
+    let Some(sched) = ChunkSchedule::for_loop(
         nest.parallel_loop(),
         nest.parallel.schedule.chunk(),
         num_threads as u64,
-    )?;
+    ) else {
+        return SymbolicRun::Declined(None);
+    };
 
     // Bookkeeping identical to the walking paths.
     let outer_iters = nest.outer_iters().unwrap_or(1).max(1);
@@ -109,12 +170,13 @@ pub(crate) fn run_symbolic(
     let max_steps = cfg.max_chunk_runs.map(|r| r * steps_per_run);
 
     let par_level = nest.parallel.level;
-    let inner_prod: u64 = trips[par_level + 1..]
-        .iter()
-        .try_fold(1u64, |a, &t| a.checked_mul(t))?;
-    let outer_prod: u64 = trips[..par_level]
-        .iter()
-        .try_fold(1u64, |a, &t| a.checked_mul(t))?;
+    let product = |trips: &[u64]| trips.iter().try_fold(1u64, |a, &t| a.checked_mul(t));
+    let (Some(inner_prod), Some(outer_prod)) = (
+        product(&trips[par_level + 1..]),
+        product(&trips[..par_level]),
+    ) else {
+        return SymbolicRun::Declined(None);
+    };
 
     let iters_t: Vec<u64> = (0..num_threads as u64)
         .map(|t| iters_of_thread_closed(&sched, t))
@@ -133,16 +195,32 @@ pub(crate) fn run_symbolic(
     result.total_chunk_runs = outer_iters * runs_per_instance;
     if target == 0 {
         result.finish_series(steps_per_run);
-        return Some(SymbolicRun::ClosedForm(result));
+        return SymbolicRun::ClosedForm(result);
     }
 
     let per_step_work = (num_threads as u64) * (plan.accesses.len() as u64).max(1);
     let direct_work = target.saturating_mul(per_step_work);
-    // Without a closed form, the run is exact only within the direct-work
+    // Without a window, the run is exact only within the direct-work
     // budget: hand it to the dense walk, or decline.
-    let direct = |remaining: u64| (remaining <= DIRECT_WORK_LIMIT).then_some(SymbolicRun::Direct);
-    if direct_work <= SMALL_DIRECT_WORK {
-        return direct(direct_work);
+    let walk = || {
+        if direct_work <= DIRECT_WORK_LIMIT {
+            let (r, engine) = run_dense_or_reference(kernel, cfg, plan, bases);
+            SymbolicRun::Direct(r, engine)
+        } else {
+            SymbolicRun::Declined(None)
+        }
+    };
+    // A window simulates at least `WINDOW_WORK_PER_ENTRY` accesses per
+    // snapshot entry, so a run with less work than `MIN_WINDOWS` of those
+    // goes to the dense walk (below) whatever its period: skip planning.
+    let (sets, ways) = set_geometry(cfg.stack_lines, cfg.stack_sets);
+    let snapshot_entries = (num_threads * sets * ways) as u64;
+    let min_window_work = WINDOW_WORK_PER_ENTRY.saturating_mul(snapshot_entries);
+    if tuning.size_floor
+        && direct_work <= DIRECT_WORK_LIMIT
+        && direct_work < MIN_WINDOWS.saturating_mul(min_window_work)
+    {
+        return walk();
     }
 
     let cplan = plan.compile(kernel.vars.len(), bases);
@@ -159,8 +237,29 @@ pub(crate) fn run_symbolic(
         steps_per_run,
         end_steps,
     ) else {
-        return direct(direct_work);
+        return walk();
     };
+    // Window boundaries at the smallest multiple of the period that
+    // simulates `WINDOW_WORK_PER_ENTRY` accesses per snapshot entry (a
+    // multiple of a period is a period, so verification stays valid). A
+    // run shorter than `MIN_WINDOWS` such windows goes to the dense walk;
+    // past the direct-work budget it gets windows as large as its length
+    // allows instead, down to one period.
+    let period_work = xp.period_steps.saturating_mul(per_step_work);
+    let e_cap = xp.uniform_end.min(target);
+    let mut periods = min_window_work.div_ceil(period_work.max(1));
+    if xp
+        .period_steps
+        .saturating_mul(periods)
+        .saturating_mul(MIN_WINDOWS)
+        > e_cap
+    {
+        if tuning.size_floor && direct_work <= DIRECT_WORK_LIMIT {
+            return walk();
+        }
+        periods = periods.min(e_cap / xp.period_steps / MIN_WINDOWS);
+    }
+    let window = xp.period_steps * periods.max(1);
     let driver = Driver {
         sched,
         par_level,
@@ -179,29 +278,30 @@ pub(crate) fn run_symbolic(
         iters_t,
         total_steps_t,
     };
-    let mut sim = Sim {
+    let attempt = Attempt {
         driver: &driver,
         cplan: &cplan,
-        acc_size: plan.accesses.iter().map(|a| a.size as u64).collect(),
-        acc_write: plan.accesses.iter().map(|a| a.is_write).collect(),
-        machine: RefMachine::new(cfg),
-        cursors: (0..num_threads)
-            .map(|_| StreamCursor::new(&cplan))
-            .collect(),
-        env: vec![0i64; kernel.vars.len()],
-        spr: steps_per_run,
-        cur: 0,
+        plan,
+        xp: &xp,
+        num_vars: kernel.vars.len(),
+        steps_per_run,
+        target,
+        per_step_work,
+        window,
+        finish_declined,
     };
-
-    if !run_windowed(&mut sim, &xp, &mut result, target, per_step_work) {
-        // The decline rule counts the work left after the failed attempt.
-        // The machine is dropped on return, before the caller builds the
-        // dense tables, so the two never coexist.
-        return direct((target - sim.cur).saturating_mul(per_step_work));
+    let footprint_lines = crate::footprint::line_footprint(kernel, cfg.line_size);
+    // Region lines must be their own dense ids for a shift to be id
+    // arithmetic; the padded regions of `Kernel::array_bases` always are.
+    let region_end = xp.regions.end_line.last().copied().unwrap_or(0);
+    let dense = footprint_lines <= DENSE_LINE_LIMIT
+        && region_end <= DenseMachine::identity_lines(footprint_lines)
+        && !tuning.reference_machine;
+    if dense {
+        attempt.run(DenseMachine::new(cfg, footprint_lines), result)
+    } else {
+        attempt.run(RefMachine::new(cfg), result)
     }
-    fs_obs::counters::FS_LRU_EVICTIONS.add(sim.machine.evictions);
-    result.finish_series(steps_per_run);
-    Some(SymbolicRun::ClosedForm(result))
 }
 
 /// Closed-form `ChunkSchedule::iters_of_thread` (the library version scans
@@ -234,7 +334,8 @@ struct Level {
 /// Random access into the lockstep iteration space: reconstructs the
 /// environment thread `t` has at its `s`-th lockstep step by mixed-radix
 /// decomposition — the walker's order (outer combos, then owned parallel
-/// iterations, then inner combos) without walking.
+/// iterations, then inner combos) without walking — and steps it forward
+/// from there like an odometer.
 struct Driver {
     sched: ChunkSchedule,
     par_level: usize,
@@ -244,53 +345,134 @@ struct Driver {
     total_steps_t: Vec<u64>,
 }
 
+/// One thread's position in its iteration order: a digit per loop level
+/// (the parallel level's digit counts the thread's own iterations) and the
+/// environment those digits spell.
+struct Odometer {
+    digits: Vec<u64>,
+    env: Vec<i64>,
+}
+
 impl Driver {
-    fn env_at(&self, t: usize, s: u64, env: &mut [i64]) {
+    /// Position `od` at thread `t`'s `s`-th step.
+    fn env_at(&self, t: usize, s: u64, od: &mut Odometer) {
         debug_assert!(s < self.total_steps_t[t]);
         let inner_idx = s % self.inner_prod;
         let q = s / self.inner_prod;
         let it = self.iters_t[t];
-        let par_k = q % it;
         let mut outer_idx = q / it;
         for l in (0..self.par_level).rev() {
             let lv = &self.levels[l];
-            env[lv.var] = lv.lower + (outer_idx % lv.trip) as i64 * lv.step;
+            od.digits[l] = outer_idx % lv.trip;
+            od.env[lv.var] = lv.lower + od.digits[l] as i64 * lv.step;
             outer_idx /= lv.trip;
         }
-        let pos = self
-            .sched
-            .nth_iter_of_thread(t as u64, par_k)
-            .expect("par_k < iters_of_thread");
-        env[self.levels[self.par_level].var] = self.sched.iter_value(pos);
+        od.digits[self.par_level] = q % it;
+        od.env[self.levels[self.par_level].var] = self.par_value(t, q % it);
         let mut ii = inner_idx;
         for l in (self.par_level + 1..self.levels.len()).rev() {
             let lv = &self.levels[l];
-            env[lv.var] = lv.lower + (ii % lv.trip) as i64 * lv.step;
+            od.digits[l] = ii % lv.trip;
+            od.env[lv.var] = lv.lower + od.digits[l] as i64 * lv.step;
             ii /= lv.trip;
         }
     }
+
+    /// Advance `od` from thread `t`'s step `s` to step `s + 1` (which must
+    /// exist).
+    #[inline]
+    fn next_env(&self, t: usize, od: &mut Odometer) {
+        for l in (0..self.levels.len()).rev() {
+            let lv = &self.levels[l];
+            let par = l == self.par_level;
+            let d = od.digits[l] + 1;
+            let radix = if par { self.iters_t[t] } else { lv.trip };
+            if d < radix {
+                od.digits[l] = d;
+                od.env[lv.var] += if par && !d.is_multiple_of(self.sched.chunk) {
+                    lv.step
+                } else if par {
+                    // Into this thread's next chunk, a team round later.
+                    ((self.sched.num_threads - 1) * self.sched.chunk + 1) as i64 * lv.step
+                } else {
+                    lv.step
+                };
+                return;
+            }
+            od.digits[l] = 0;
+            od.env[lv.var] = if par { self.par_value(t, 0) } else { lv.lower };
+        }
+        debug_assert!(false, "stepped past the end of thread {t}");
+    }
+
+    /// The parallel variable's value at thread `t`'s `k`-th own iteration.
+    fn par_value(&self, t: usize, k: u64) -> i64 {
+        let pos = self
+            .sched
+            .nth_iter_of_thread(t as u64, k)
+            .expect("k < iters_of_thread");
+        self.sched.iter_value(pos)
+    }
 }
 
-/// Exact simulation state: the reference machine driven in lockstep order
-/// by [`Driver`] environments and strength-reduced address streams.
-struct Sim<'a> {
+/// The per-access operations the window engine needs from a machine, plus
+/// the three window operations on its state: snapshot, shifted compare and
+/// translate.
+trait WindowMachine {
+    /// The engine a run finished on this machine without a closed form
+    /// reports.
+    const ENGINE: FsPath;
+    type Snapshot;
+    fn access(&mut self, t: usize, addr: u64, size: u64, is_write: bool, res: &mut FsModelResult);
+    /// Snapshot the state, reusing the buffers of `old` when given.
+    fn snapshot(&self, old: Option<Self::Snapshot>) -> Self::Snapshot;
+    /// Does the state equal `snap` translated forward by `mult` periods?
+    fn state_matches(
+        &self,
+        snap: &Self::Snapshot,
+        regions: &Regions,
+        shift: &[i64],
+        mult: i64,
+    ) -> bool;
+    /// Translate the state forward by `shift` lines per region (validated
+    /// before any mutation; false = state untouched).
+    fn translate_state(&mut self, regions: &Regions, shift: &[i64]) -> bool;
+    /// Move per-line FS cases the machine still holds into `res`.
+    fn flush_line_cases(&mut self, res: &mut FsModelResult);
+    fn evictions(&mut self) -> &mut u64;
+    /// Flush the run's remaining output into `res` and its totals into the
+    /// obs counters.
+    fn finish(self, res: &mut FsModelResult);
+}
+
+/// Exact simulation state: a machine driven in lockstep order by
+/// [`Driver`] environments and strength-reduced address streams.
+struct Sim<'a, M> {
     driver: &'a Driver,
     cplan: &'a CompiledPlan,
     acc_size: Vec<u64>,
     acc_write: Vec<bool>,
-    machine: RefMachine,
+    machine: M,
     cursors: Vec<StreamCursor>,
-    env: Vec<i64>,
+    odometers: Vec<Odometer>,
+    /// The odometers hold step `cur - 1` (false before the first step and
+    /// after a closed-form jump, when they are re-seeded).
+    in_step: bool,
     spr: u64,
     /// Next global lockstep step to simulate.
     cur: u64,
 }
 
-impl Sim<'_> {
+impl<M: WindowMachine> Sim<'_, M> {
     /// Simulate lockstep steps `[cur, until)`, accumulating into `res`.
     /// `res.steps` is relative to `res` (zero for a recording window), so
     /// callers must keep window starts aligned to `spr`.
     fn run_to(&mut self, until: u64, res: &mut FsModelResult) {
+        if self.cur >= until {
+            return;
+        }
+        let _walk = fs_obs::span("fs.walk");
+        fs_obs::counters::FS_SYMBOLIC_WINDOW_STEPS.add(until - self.cur);
         let Sim {
             driver,
             cplan,
@@ -298,7 +480,8 @@ impl Sim<'_> {
             acc_write,
             machine,
             cursors,
-            env,
+            odometers,
+            in_step,
             spr,
             cur,
         } = self;
@@ -306,16 +489,26 @@ impl Sim<'_> {
         while *cur < until {
             let s = *cur;
             let mut active = 0u64;
-            for (t, (cursor, &total)) in cursors.iter_mut().zip(&driver.total_steps_t).enumerate() {
+            for (t, ((cursor, od), &total)) in cursors
+                .iter_mut()
+                .zip(odometers.iter_mut())
+                .zip(&driver.total_steps_t)
+                .enumerate()
+            {
                 if s < total {
-                    driver.env_at(t, s, env);
-                    let addrs = cursor.advance(cplan, env);
+                    if *in_step {
+                        driver.next_env(t, od);
+                    } else {
+                        driver.env_at(t, s, od);
+                    }
+                    let addrs = cursor.advance(cplan, &od.env);
                     for (i, &raw) in addrs.iter().enumerate() {
                         machine.access(t, raw as u64, acc_size[i], acc_write[i], res);
                     }
                     active += 1;
                 }
             }
+            *in_step = true;
             *cur += 1;
             res.steps += 1;
             res.iterations += active;
@@ -324,6 +517,86 @@ impl Sim<'_> {
                 res.series.push((run, res.fs_cases));
                 res.events_series.push((run, res.fs_events));
             }
+        }
+    }
+
+    /// Skip `steps` lockstep steps whose effect was applied in closed form.
+    fn jump(&mut self, steps: u64) {
+        self.cur += steps;
+        self.in_step = false;
+    }
+}
+
+/// Everything one windowed attempt needs besides its machine.
+struct Attempt<'a> {
+    driver: &'a Driver,
+    cplan: &'a CompiledPlan,
+    plan: &'a AccessPlan,
+    xp: &'a ExtPlan,
+    num_vars: usize,
+    steps_per_run: u64,
+    target: u64,
+    per_step_work: u64,
+    /// Lockstep steps between window boundaries.
+    window: u64,
+    finish_declined: bool,
+}
+
+impl Attempt<'_> {
+    /// Run the windows on `machine`; when no period verifies, finish the
+    /// run in place (or stop, for a decline the caller does not finish).
+    fn run<M: WindowMachine>(self, machine: M, mut result: FsModelResult) -> SymbolicRun {
+        let num_threads = result.per_thread_cases.len();
+        let mut sim = Sim {
+            driver: self.driver,
+            cplan: self.cplan,
+            acc_size: self.plan.accesses.iter().map(|a| a.size as u64).collect(),
+            acc_write: self.plan.accesses.iter().map(|a| a.is_write).collect(),
+            machine,
+            cursors: (0..num_threads)
+                .map(|_| StreamCursor::new(self.cplan))
+                .collect(),
+            odometers: (0..num_threads)
+                .map(|_| Odometer {
+                    digits: vec![0; self.driver.levels.len()],
+                    env: vec![0; self.num_vars],
+                })
+                .collect(),
+            in_step: false,
+            spr: self.steps_per_run,
+            cur: 0,
+        };
+        let windowed = run_windowed(
+            &mut sim,
+            self.xp,
+            &mut result,
+            self.target,
+            self.per_step_work,
+            self.window,
+        );
+        if windowed {
+            sim.machine.finish(&mut result);
+            result.finish_series(self.steps_per_run);
+            return SymbolicRun::ClosedForm(result);
+        }
+        // The decline rule counts the work left after the failed attempt.
+        let declined =
+            (self.target - sim.cur).saturating_mul(self.per_step_work) > DIRECT_WORK_LIMIT;
+        if declined && !self.finish_declined {
+            return SymbolicRun::Declined(None);
+        }
+        // The simulated steps are a valid prefix of the run.
+        sim.run_to(self.target, &mut result);
+        if M::ENGINE == FsPath::Reference {
+            fs_obs::counters::FS_DENSE_FALLBACKS.inc();
+        }
+        sim.machine.finish(&mut result);
+        result.finish_series(self.steps_per_run);
+        let run = (result, M::ENGINE);
+        if declined {
+            SymbolicRun::Declined(Some(run))
+        } else {
+            SymbolicRun::Direct(run.0, run.1)
         }
     }
 }
@@ -545,36 +818,19 @@ fn plan_extrapolation(
     })
 }
 
-/// A window-boundary snapshot of the machine: writer indexes plus every
-/// set's residents in MRU order.
-struct Snapshot {
-    writers: HashMap<u64, u64>,
-    phys: HashMap<u64, u64>,
-    /// `states[thread][set]` = (line, info) MRU→LRU.
-    states: Vec<Vec<Vec<(u64, LineInfo)>>>,
-}
-
-fn snapshot(m: &RefMachine) -> Snapshot {
-    Snapshot {
-        writers: m.writers.clone(),
-        phys: m.phys_writers.clone(),
-        states: m
-            .states
-            .iter()
-            .map(|st| {
-                st.sets
-                    .iter()
-                    .map(|s| s.iter_mru().map(|(&k, &v)| (k, v)).collect())
-                    .collect()
-            })
-            .collect(),
-    }
-}
-
 fn shifted_line(line: u64, regions: &Regions, shift: &[i64], mult: i64) -> Option<u64> {
     let r = regions.region_of(line)?;
     let nl = (line as i128 + shift[r] as i128 * mult as i128) as i64 as u64;
     (nl >= regions.start_line[r] && nl < regions.end_line[r]).then_some(nl)
+}
+
+/// A window-boundary snapshot of a [`RefMachine`]: writer indexes plus
+/// every set's residents in MRU order.
+struct RefSnapshot {
+    writers: HashMap<u64, u64>,
+    phys: HashMap<u64, u64>,
+    /// `states[thread][set]` = (line, info) MRU→LRU.
+    states: Vec<Vec<Vec<(u64, LineInfo)>>>,
 }
 
 fn map_matches(
@@ -590,76 +846,259 @@ fn map_matches(
         })
 }
 
-/// Does the machine state equal `snap` translated forward by `mult`
-/// windows? Key maps, per-set residency, MRU order, byte masks and writer
-/// masks must all match under the shift.
-fn state_matches(
-    snap: &Snapshot,
-    m: &RefMachine,
-    regions: &Regions,
-    shift: &[i64],
-    mult: i64,
-) -> bool {
-    if !map_matches(&snap.writers, &m.writers, regions, shift, mult)
-        || !map_matches(&snap.phys, &m.phys_writers, regions, shift, mult)
-    {
-        return false;
+/// The window engine past the dense-table limit.
+impl WindowMachine for RefMachine {
+    const ENGINE: FsPath = FsPath::Reference;
+    type Snapshot = RefSnapshot;
+
+    #[inline]
+    fn access(&mut self, t: usize, addr: u64, size: u64, is_write: bool, res: &mut FsModelResult) {
+        RefMachine::access(self, t, addr, size, is_write, res);
     }
-    snap.states.iter().zip(m.states.iter()).all(|(ss, ms)| {
-        ss.iter().zip(ms.sets.iter()).all(|(sv, mset)| {
-            sv.len() == mset.len()
-                && sv
-                    .iter()
-                    .zip(mset.iter_mru())
-                    .all(|(&(l, info), (&ml, &minfo))| {
-                        shifted_line(l, regions, shift, mult) == Some(ml) && info == minfo
-                    })
+
+    fn snapshot(&self, _old: Option<RefSnapshot>) -> RefSnapshot {
+        RefSnapshot {
+            writers: self.writers.clone(),
+            phys: self.phys_writers.clone(),
+            states: self
+                .states
+                .iter()
+                .map(|st| {
+                    st.sets
+                        .iter()
+                        .map(|s| s.iter_mru().map(|(&k, &v)| (k, v)).collect())
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
+    /// Key maps, per-set residency, MRU order, byte masks and writer masks
+    /// must all match under the shift.
+    fn state_matches(
+        &self,
+        snap: &RefSnapshot,
+        regions: &Regions,
+        shift: &[i64],
+        mult: i64,
+    ) -> bool {
+        if !map_matches(&snap.writers, &self.writers, regions, shift, mult)
+            || !map_matches(&snap.phys, &self.phys_writers, regions, shift, mult)
+        {
+            return false;
+        }
+        snap.states.iter().zip(self.states.iter()).all(|(ss, ms)| {
+            ss.iter().zip(ms.sets.iter()).all(|(sv, mset)| {
+                sv.len() == mset.len()
+                    && sv
+                        .iter()
+                        .zip(mset.iter_mru())
+                        .all(|(&(l, info), (&ml, &minfo))| {
+                            shifted_line(l, regions, shift, mult) == Some(ml) && info == minfo
+                        })
+            })
         })
-    })
+    }
+
+    fn translate_state(&mut self, regions: &Regions, shift: &[i64]) -> bool {
+        if shift.iter().all(|&d| d == 0) {
+            return true;
+        }
+        let remap = |map: &HashMap<u64, u64>| -> Option<HashMap<u64, u64>> {
+            let mut out = HashMap::with_capacity(map.len());
+            for (&l, &v) in map {
+                out.insert(shifted_line(l, regions, shift, 1)?, v);
+            }
+            Some(out)
+        };
+        let Some(writers) = remap(&self.writers) else {
+            return false;
+        };
+        let Some(phys) = remap(&self.phys_writers) else {
+            return false;
+        };
+        let mut new_states: Vec<Vec<LruCache<u64, LineInfo>>> =
+            Vec::with_capacity(self.states.len());
+        for st in &self.states {
+            let mut sets = Vec::with_capacity(st.sets.len());
+            for set in &st.sets {
+                let mut fresh = LruCache::new(set.capacity());
+                // Rebuild LRU-first so MRU order is preserved.
+                let entries: Vec<(u64, LineInfo)> = set.iter_mru().map(|(&k, &v)| (k, v)).collect();
+                for (l, v) in entries.into_iter().rev() {
+                    let Some(nl) = shifted_line(l, regions, shift, 1) else {
+                        return false;
+                    };
+                    fresh.insert(nl, v);
+                }
+                sets.push(fresh);
+            }
+            new_states.push(sets);
+        }
+        self.writers = writers;
+        self.phys_writers = phys;
+        for (st, sets) in self.states.iter_mut().zip(new_states) {
+            st.sets = sets;
+        }
+        true
+    }
+
+    /// Per-line cases go straight into the result.
+    fn flush_line_cases(&mut self, _res: &mut FsModelResult) {}
+
+    fn evictions(&mut self) -> &mut u64 {
+        &mut self.evictions
+    }
+
+    fn finish(self, _res: &mut FsModelResult) {
+        fs_obs::counters::FS_LRU_EVICTIONS.add(self.evictions);
+    }
 }
 
-/// Translate the whole machine state forward by `shift` lines per region
-/// (validated before any mutation; false = leave the machine untouched).
-fn translate_state(m: &mut RefMachine, regions: &Regions, shift: &[i64]) -> bool {
-    if shift.iter().all(|&d| d == 0) {
-        return true;
-    }
-    let remap = |map: &HashMap<u64, u64>| -> Option<HashMap<u64, u64>> {
-        let mut out = HashMap::with_capacity(map.len());
-        for (&l, &v) in map {
-            out.insert(shifted_line(l, regions, shift, 1)?, v);
-        }
-        Some(out)
-    };
-    let Some(writers) = remap(&m.writers) else {
-        return false;
-    };
-    let Some(phys) = remap(&m.phys_writers) else {
-        return false;
-    };
-    let mut new_states: Vec<Vec<LruCache<u64, LineInfo>>> = Vec::with_capacity(m.states.len());
-    for st in &m.states {
-        let mut sets = Vec::with_capacity(st.sets.len());
-        for set in &st.sets {
-            let mut fresh = LruCache::new(set.capacity());
-            // Rebuild LRU-first so MRU order is preserved.
-            let entries: Vec<(u64, LineInfo)> = set.iter_mru().map(|(&k, &v)| (k, v)).collect();
-            for (l, v) in entries.into_iter().rev() {
-                let Some(nl) = shifted_line(l, regions, shift, 1) else {
-                    return false;
-                };
-                fresh.insert(nl, v);
+/// A window-boundary snapshot of a [`DenseMachine`]: each thread's
+/// recency lists, every resident as its written-byte mask (a line is
+/// written exactly when that is nonzero) and that thread's bit of the
+/// physical writer mask. That determines both writer masks: a line's
+/// `writers` mask is exactly the set of threads holding it written, and a
+/// `phys_writers` bit is only ever set for a thread holding the line
+/// written.
+struct DenseSnapshot {
+    lists: Vec<DenseSetLists<(u64, bool)>>,
+}
+
+impl DenseMachine {
+    /// The invariant [`DenseSnapshot`] rests on: nonzero writer masks sit
+    /// on resident written lines only, and agree with the residents.
+    fn masks_follow_residents(&self) -> bool {
+        let mut writers = vec![0u64; self.writers.len()];
+        for (t, st) in self.states.iter().enumerate() {
+            for set in 0..st.num_sets() {
+                for (id, info) in st.iter_set_mru(set) {
+                    if info.written {
+                        writers[id as usize] |= 1 << t;
+                    }
+                }
             }
-            sets.push(fresh);
         }
-        new_states.push(sets);
+        writers == self.writers
+            && self
+                .phys_writers
+                .iter()
+                .zip(&writers)
+                .all(|(&p, &w)| p & !w == 0)
     }
-    m.writers = writers;
-    m.phys_writers = phys;
-    for (st, sets) in m.states.iter_mut().zip(new_states) {
-        st.sets = sets;
+
+    /// Every resident line id (once per thread holding it).
+    fn resident_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.states.iter().flat_map(|st| {
+            (0..st.num_sets()).flat_map(move |set| st.iter_set_mru(set).map(|(id, _)| id))
+        })
     }
-    true
+}
+
+/// The window engine on the dense walk's tables. Every line the window
+/// engine sees lies in an array region, which lies inside the footprint,
+/// where a line's id is the line number itself, so a shift is plain id
+/// arithmetic.
+impl WindowMachine for DenseMachine {
+    const ENGINE: FsPath = FsPath::Optimized;
+    type Snapshot = DenseSnapshot;
+
+    #[inline]
+    fn access(&mut self, t: usize, addr: u64, size: u64, is_write: bool, res: &mut FsModelResult) {
+        DenseMachine::access(self, t, addr, size, is_write, res);
+    }
+
+    fn snapshot(&self, old: Option<DenseSnapshot>) -> DenseSnapshot {
+        debug_assert!(self.masks_follow_residents());
+        let mut snap = old.unwrap_or(DenseSnapshot { lists: Vec::new() });
+        snap.lists.resize_with(self.states.len(), Default::default);
+        for (t, (st, lists)) in self.states.iter().zip(&mut snap.lists).enumerate() {
+            st.copy_lists(lists, |id, info| {
+                debug_assert_eq!(info.written, info.written_bytes != 0);
+                (
+                    info.written_bytes,
+                    self.phys_writers[id as usize] & (1 << t) != 0,
+                )
+            });
+        }
+        snap
+    }
+
+    fn state_matches(
+        &self,
+        snap: &DenseSnapshot,
+        regions: &Regions,
+        shift: &[i64],
+        mult: i64,
+    ) -> bool {
+        let sets = self.states.first().map_or(1, |st| st.num_sets());
+        let lists = self.states.len() * sets;
+        // Start where the previous compare failed: a boundary that is not
+        // a shifted copy usually differs in the same few threads.
+        let first = self.mismatch_hint.get() % lists.max(1);
+        for list in (first..lists).chain(0..first) {
+            let (t, set) = (list / sets, list % sets);
+            let (st, old) = (&self.states[t], &snap.lists[t]);
+            let same = st.set_len(set) == old.set_len(set)
+                && old.iter_set_mru(set).zip(st.iter_set_mru(set)).all(
+                    |((old_id, &(old_bytes, old_phys)), (id, info))| {
+                        info.written_bytes == old_bytes
+                            && shifted_line(old_id as u64, regions, shift, mult) == Some(id as u64)
+                            && (self.phys_writers[id as usize] & (1 << t) != 0) == old_phys
+                    },
+                );
+            if !same {
+                self.mismatch_hint.set(list);
+                return false;
+            }
+        }
+        true
+    }
+
+    fn translate_state(&mut self, regions: &Regions, shift: &[i64]) -> bool {
+        if shift.iter().all(|&d| d == 0) {
+            return true;
+        }
+        let rename = |id: u32| shifted_line(id as u64, regions, shift, 1).map(|l| l as u32);
+        let ids: Vec<u32> = self.resident_ids().collect();
+        if !ids.iter().all(|&id| rename(id).is_some()) {
+            return false;
+        }
+        // Only resident lines carry writer masks: take them all out before
+        // writing any back, since old and new lines may overlap.
+        let mut moved = Vec::new();
+        for &id in &ids {
+            let i = id as usize;
+            let (w, p) = (self.writers[i], self.phys_writers[i]);
+            if w | p != 0 {
+                moved.push((rename(id).expect("validated") as usize, w, p));
+                self.writers[i] = 0;
+                self.phys_writers[i] = 0;
+            }
+        }
+        for (i, w, p) in moved {
+            self.writers[i] = w;
+            self.phys_writers[i] = p;
+        }
+        for st in &mut self.states {
+            let renamed = st.rename_keys(rename);
+            assert!(renamed, "resident lines validated above");
+        }
+        true
+    }
+
+    fn flush_line_cases(&mut self, res: &mut FsModelResult) {
+        DenseMachine::flush_line_cases(self, res);
+    }
+
+    fn evictions(&mut self) -> &mut u64 {
+        &mut self.evictions
+    }
+
+    fn finish(self, res: &mut FsModelResult) {
+        DenseMachine::finish(self, res);
+    }
 }
 
 /// Merge a recorded window's deltas into the main result (series entries
@@ -694,55 +1133,71 @@ fn merge_window(main: &mut FsModelResult, win: &FsModelResult, spr: u64) {
 /// the remaining in-fragment windows in closed form, translate the state,
 /// and simulate the ragged tail. Returns false (with `sim`/`res` advanced
 /// consistently) when no period verified within budget — the caller then
-/// hands the run to the dense walk or declines.
-fn run_windowed(
-    sim: &mut Sim<'_>,
+/// finishes the run in place or declines.
+fn run_windowed<M: WindowMachine>(
+    sim: &mut Sim<'_, M>,
     xp: &ExtPlan,
     res: &mut FsModelResult,
     target: u64,
     per_step_work: u64,
+    window: u64,
 ) -> bool {
     let e_cap = xp.uniform_end.min(target);
-    let period = xp.period_steps;
-    let warmup_step_limit = (DIRECT_WORK_LIMIT / per_step_work.max(1)).max(period);
-    // Boundary snapshots, oldest first (at most 2: periods of P and 2P are
-    // both caught; longer super-periods go to the dense walk).
-    let mut ring: Vec<Snapshot> = Vec::with_capacity(2);
-    ring.push(snapshot(&sim.machine));
+    let periods = window / xp.period_steps;
+    let warmup_step_limit = (DIRECT_WORK_LIMIT / per_step_work.max(1)).max(window);
+    // Boundary snapshots, oldest first (at most 2: periods of one and two
+    // windows are both caught; longer super-periods finish in place).
+    let mut ring: Vec<M::Snapshot> = Vec::with_capacity(2);
+    ring.push(sim.machine.snapshot(None));
 
     loop {
-        if sim.cur + period > e_cap || sim.cur >= warmup_step_limit {
+        if sim.cur.saturating_add(window) > e_cap || sim.cur >= warmup_step_limit {
             return false;
         }
-        sim.run_to(sim.cur + period, res);
+        sim.run_to(sim.cur + window, res);
         // Compare this boundary against the previous one(s), newest first.
         let mut found: Option<u64> = None;
         for (ago, snap) in ring.iter().rev().enumerate() {
             let j = (ago + 1) as u64;
-            if state_matches(snap, &sim.machine, &xp.regions, &xp.line_shift, j as i64) {
+            if sim
+                .machine
+                .state_matches(snap, &xp.regions, &xp.line_shift, (j * periods) as i64)
+            {
                 found = Some(j);
                 break;
             }
         }
         let Some(j) = found else {
-            ring.push(snapshot(&sim.machine));
-            if ring.len() > 2 {
-                ring.remove(0);
+            // A match one window on could not leave room to record and
+            // extrapolate, so no later boundary can verify: stop here and
+            // skip the snapshot, unless the stopping point still decides a
+            // decline.
+            let may_decline = target.saturating_mul(per_step_work) > DIRECT_WORK_LIMIT;
+            if !may_decline && sim.cur + 3 * window > e_cap {
+                return false;
             }
+            let reuse = (ring.len() == 2).then(|| ring.remove(0));
+            ring.push(sim.machine.snapshot(reuse));
             continue;
         };
-        let jp = j * period;
+        let jp = j * window;
         // Room for the recording window plus at least one closed-form one.
         if sim.cur + 2 * jp > e_cap {
             return false;
         }
-        let shift: Vec<i64> = xp.line_shift.iter().map(|&d| d * j as i64).collect();
+        let shift: Vec<i64> = xp
+            .line_shift
+            .iter()
+            .map(|&d| d * (j * periods) as i64)
+            .collect();
 
         // Record one verified window's deltas.
-        let evict0 = sim.machine.evictions;
+        sim.machine.flush_line_cases(res);
+        let evict0 = *sim.machine.evictions();
         let mut win = FsModelResult::empty(res.per_thread_cases.len());
         sim.run_to(sim.cur + jp, &mut win);
-        let win_evict = sim.machine.evictions - evict0;
+        sim.machine.flush_line_cases(&mut win);
+        let win_evict = *sim.machine.evictions() - evict0;
         let p_runs = jp / sim.spr;
         debug_assert!(jp.is_multiple_of(sim.spr));
 
@@ -759,7 +1214,7 @@ fn run_windowed(
             .map(|&d| i64::try_from(d as i128 * k as i128).unwrap_or(i64::MAX))
             .collect();
         merge_window(res, &win, sim.spr);
-        if !translate_state(&mut sim.machine, &xp.regions, &total_shift) {
+        if !sim.machine.translate_state(&xp.regions, &total_shift) {
             return false;
         }
 
@@ -801,11 +1256,98 @@ fn run_windowed(
         }
         res.steps += k * win.steps;
         res.iterations += k * win.iterations;
-        sim.machine.evictions += k * win_evict;
-        sim.cur += k * jp;
+        *sim.machine.evictions() += k * win_evict;
+        sim.jump(k * jp);
+        fs_obs::counters::FS_SYMBOLIC_EXTRAPOLATED_STEPS.add(k * jp);
 
         // Exact ragged tail (short chunks / truncation).
         sim.run_to(target, res);
         return true;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fs::{run_fs_model, FsPath};
+    use loop_ir::kernels;
+    use machine::presets;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A small in-fragment kernel: the corpus shapes plus a transpose.
+    fn kernel(template: usize, scale: u64, chunk: u64) -> Kernel {
+        match template {
+            0 => kernels::heat_diffusion(10 + 24 * scale, 18 + 16 * scale, chunk),
+            1 => kernels::dft(4 * scale, 32 * scale, chunk),
+            2 => kernels::linear_regression(256 * scale, 2 + 2 * scale, chunk),
+            3 => kernels::matmul(64 * scale, 8, 4, chunk),
+            4 => kernels::stencil1d(64 * scale + 2, chunk),
+            _ => kernels::transpose(8 * scale, 8 * scale, chunk),
+        }
+    }
+
+    /// The window engine with no size floor, so that small runs take the
+    /// windows and the extrapolation too, gives the reference path's counts
+    /// on every in-fragment case, on the dense tables and on
+    /// [`RefMachine`] alike. A declined attempt is finished in place and
+    /// checked as well. Each machine must extrapolate in at least one case
+    /// in twenty, so the property cannot go vacuous.
+    #[test]
+    fn window_engine_matches_reference_on_both_machines() {
+        static EXTRAPOLATED: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+        static CASES: AtomicU64 = AtomicU64::new(0);
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(160))]
+            fn cases(
+                template in 0usize..6,
+                scale in 1u64..5,
+                threads in 1u32..9,
+                chunk in prop::sample::select(vec![1u64, 2, 4, 16]),
+                stack_lines in prop::sample::select(vec![8usize, 32, 768]),
+                stack_sets in prop::sample::select(vec![1u32, 2, 3, 64]),
+                invalidate in any::<bool>(),
+                count_ts in any::<bool>(),
+                max_runs in prop::sample::select(vec![None, Some(3u64), Some(40)]),
+            ) {
+                let k = kernel(template, scale, chunk);
+                let mut cfg = FsModelConfig::for_machine(&presets::paper48(), threads);
+                cfg.stack_lines = stack_lines;
+                cfg.stack_sets = stack_sets;
+                cfg.invalidate_on_detect = invalidate;
+                cfg.count_true_sharing = count_ts;
+                cfg.max_chunk_runs = max_runs;
+                cfg.path = FsPath::Reference;
+                let want = run_fs_model(&k, &cfg);
+                let plan = k.access_plan();
+                let bases = k.array_bases(cfg.line_size);
+                let ctx = format!("{} threads={threads} {cfg:?}", k.name);
+                CASES.fetch_add(1, Ordering::Relaxed);
+                for (m, reference_machine) in [false, true].into_iter().enumerate() {
+                    let tuning = Tuning { size_floor: false, reference_machine };
+                    let got = match run_tuned(&k, &cfg, &plan, &bases, true, tuning) {
+                        SymbolicRun::ClosedForm(r) => {
+                            EXTRAPOLATED[m].fetch_add(1, Ordering::Relaxed);
+                            r
+                        }
+                        SymbolicRun::Direct(r, _) | SymbolicRun::Declined(Some((r, _))) => r,
+                        SymbolicRun::Declined(None) => {
+                            return Err(TestCaseError::fail(format!("{ctx}: declined")));
+                        }
+                    };
+                    prop_assert_eq!(&got, &want, "{} (reference machine: {})", ctx, reference_machine);
+                }
+            }
+        }
+        cases();
+        let cases = CASES.load(Ordering::Relaxed);
+        for (m, name) in ["dense", "reference"].into_iter().enumerate() {
+            let n = EXTRAPOLATED[m].load(Ordering::Relaxed);
+            assert!(
+                n * 20 >= cases,
+                "{name} machine extrapolated only {n} of {cases} cases"
+            );
+        }
     }
 }

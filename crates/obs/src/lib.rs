@@ -274,12 +274,19 @@ pub mod counters {
     /// Runs answered by the symbolic (closed-form) path.
     pub static FS_DISPATCH_SYMBOLIC: Counter = Counter::new("fs.dispatch_symbolic");
     /// Symbolic-path requests that fell outside the decidable fragment (or
-    /// its work budget) and fell back to the dense/reference dispatch.
+    /// its work budget) and fell back to the dense/reference path.
     pub static FS_SYMBOLIC_FALLBACKS: Counter = Counter::new("fs.symbolic_fallbacks");
     /// Symbolic-path requests inside the fragment and its work budget but
-    /// without a closed form, answered exactly by the dense/reference
-    /// dispatch.
+    /// without a closed form, answered exactly on the dense (or, past the
+    /// dense-table limit, reference) machine.
     pub static FS_SYMBOLIC_DIRECT: Counter = Counter::new("fs.symbolic_direct");
+    /// Lockstep steps the symbolic engine simulated: warm-up and recording
+    /// windows, ragged tails, and in-place continuations of failed
+    /// attempts.
+    pub static FS_SYMBOLIC_WINDOW_STEPS: Counter = Counter::new("fs.symbolic_window_steps");
+    /// Lockstep steps the symbolic engine applied in closed form.
+    pub static FS_SYMBOLIC_EXTRAPOLATED_STEPS: Counter =
+        Counter::new("fs.symbolic_extrapolated_steps");
     /// Strength-reduced address-stream plans compiled (`CompiledPlan::new`).
     pub static STREAM_PLANS_COMPILED: Counter = Counter::new("stream.plans_compiled");
     /// §III-E linear-regression predictor fits.
@@ -314,7 +321,7 @@ pub mod counters {
     /// Service requests that returned an error envelope.
     pub static SVC_ERRORS: Counter = Counter::new("svc.errors");
 
-    pub(super) static ALL: [&Counter; 32] = [
+    pub(super) static ALL: [&Counter; 34] = [
         &SWEEP_MEMO_HITS,
         &SWEEP_MEMO_MISSES,
         &SWEEP_POINTS,
@@ -331,6 +338,8 @@ pub mod counters {
         &FS_DISPATCH_SYMBOLIC,
         &FS_SYMBOLIC_FALLBACKS,
         &FS_SYMBOLIC_DIRECT,
+        &FS_SYMBOLIC_WINDOW_STEPS,
+        &FS_SYMBOLIC_EXTRAPOLATED_STEPS,
         &STREAM_PLANS_COMPILED,
         &PREDICT_FITS,
         &SIM_REPLAYS,

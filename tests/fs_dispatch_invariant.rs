@@ -3,26 +3,34 @@
 //! fs.dispatch_reference + fs.dispatch_symbolic == fs.model_runs`, whether
 //! the run came from the dispatcher or from the predictor's symbolic
 //! short-circuit. Every [`FsPath::Symbolic`] attempt ends in exactly one
-//! of three ways — a closed form (`fs.dispatch_symbolic`), a direct
-//! hand-off to the dense walk (`fs.symbolic_direct`), or a decline outside
-//! the decidable fragment (`fs.symbolic_fallbacks`) — and
-//! `LoopCost::fs_path` names the engine that answered.
+//! of three ways — a closed form (`fs.dispatch_symbolic`), an exact run on
+//! the dense tables without one (`fs.symbolic_direct`), or a decline
+//! outside the decidable fragment (`fs.symbolic_fallbacks`) — and
+//! `LoopCost::fs_path` names the engine that answered. Only a closed form
+//! applies steps in closed form (`fs.symbolic_extrapolated_steps`).
 //!
 //! A test binary of its own: the counters are process-global, so no other
-//! test may run the model while this one reads them.
+//! test may run the model while this one reads them, and the tests here
+//! take turns through [`COUNTERS`].
 
-use cost_model::{analyze_loop, AnalysisOptions};
+use cost_model::{
+    analyze_loop, evaluate_point, kernel_at_chunk, AnalysisOptions, EarlyExit, EvalMode, MemoCache,
+};
 use fs_core::obs::{self, counters};
 use fs_core::{corpus_kernel_with_consts, FsPath};
 use loop_ir::{ArrayRef, Expr, Kernel, KernelBuilder, ScalarType, Schedule, Stmt};
 use machine::presets;
+use std::sync::Mutex;
+
+/// Held by every test that reads the process-global counters.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 /// How the symbolic engine answers a kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Regime {
     /// A verified closed form.
     ClosedForm,
-    /// In the fragment, no closed form: handed to the dense walk.
+    /// In the fragment, no closed form: run on the dense tables.
     Direct,
     /// Outside the fragment.
     Declined,
@@ -90,6 +98,7 @@ struct Tallies {
     symbolic: u64,
     direct: u64,
     fallbacks: u64,
+    extrapolated_steps: u64,
 }
 
 fn tallies() -> Tallies {
@@ -100,11 +109,13 @@ fn tallies() -> Tallies {
         symbolic: counters::FS_DISPATCH_SYMBOLIC.get(),
         direct: counters::FS_SYMBOLIC_DIRECT.get(),
         fallbacks: counters::FS_SYMBOLIC_FALLBACKS.get(),
+        extrapolated_steps: counters::FS_SYMBOLIC_EXTRAPOLATED_STEPS.get(),
     }
 }
 
 #[test]
 fn every_model_run_takes_exactly_one_of_three_engines() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     obs::configure(obs::ObsConfig::enabled());
     obs::reset();
     let machine = presets::paper48();
@@ -161,6 +172,11 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
                     outcome(Regime::Declined),
                     "{ctx}: symbolic_fallbacks moved wrongly"
                 );
+                assert_eq!(
+                    after.extrapolated_steps > before.extrapolated_steps,
+                    after.symbolic > before.symbolic,
+                    "{ctx}: symbolic_extrapolated_steps must move exactly with dispatch_symbolic"
+                );
                 let engine = match path {
                     FsPath::Symbolic if regime == Regime::ClosedForm => FsPath::Symbolic,
                     FsPath::Reference => FsPath::Reference,
@@ -170,6 +186,49 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
                 assert_eq!(cost.fs_path, engine, "{ctx}: wrong engine reported");
             }
         }
+    }
+    obs::configure(obs::ObsConfig::disabled());
+}
+
+/// An early-exit grid point on [`FsPath::Symbolic`] runs the full model
+/// twice: once as the probe, whose exact answer ends the search for a
+/// sample size, and once for the point itself.
+#[test]
+fn early_exit_point_on_symbolic_runs_the_model_twice() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    obs::configure(obs::ObsConfig::enabled());
+    let machine = presets::paper48();
+    let kernels = [
+        corpus_kernel_with_consts("heat", &[("N", 34), ("M", 258)]).expect("corpus kernel"),
+        corpus_kernel_with_consts("dft", &[("N", 16), ("K", 256)]).expect("corpus kernel"),
+    ];
+    for kernel in kernels {
+        let kernel = kernel_at_chunk(&kernel, 1);
+        let mode = EvalMode::EarlyExit(EarlyExit::default());
+        let before = counters::FS_MODEL_RUNS.get();
+        let point = evaluate_point(
+            &kernel,
+            &machine,
+            8,
+            mode,
+            FsPath::Symbolic,
+            &mut MemoCache::new(),
+        );
+        let runs = counters::FS_MODEL_RUNS.get() - before;
+        assert_eq!(
+            runs, 2,
+            "{}: full model runs per early-exit point",
+            kernel.name
+        );
+
+        let mut opts = AnalysisOptions::new(8).path(FsPath::Symbolic);
+        opts.predict_chunk_runs = None;
+        let full = analyze_loop(&kernel, &machine, &opts);
+        assert_eq!(
+            point.fs, full.fs,
+            "{}: early exit changed the counts",
+            kernel.name
+        );
     }
     obs::configure(obs::ObsConfig::disabled());
 }
