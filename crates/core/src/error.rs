@@ -93,6 +93,18 @@ pub(crate) fn check_machine(m: &machine::MachineConfig) -> Result<(), AnalysisEr
     Ok(())
 }
 
+/// Reject teams larger than the FS model can price
+/// ([`cost_model::MAX_MODEL_THREADS`]).
+pub(crate) fn check_team_size(threads: u32) -> Result<(), AnalysisError> {
+    if threads > cost_model::MAX_MODEL_THREADS {
+        return Err(AnalysisError::Validation(ValidateError::TeamTooLarge {
+            requested: threads,
+            max: cost_model::MAX_MODEL_THREADS,
+        }));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@
 //! same cache as grid points, so a warm daemon answers repeat requests
 //! from memory (`svc.cache_hits` counts them).
 
-use crate::error::{check_machine, AnalysisError};
+use crate::error::{check_machine, check_team_size, AnalysisError};
 use crate::json::JsonValue;
 use crate::lint::LintReport;
 use crate::report::AnalysisReport;
@@ -44,15 +44,7 @@ fn check_team(machine: &MachineConfig, threads: u32) -> Result<(), AnalysisError
             reason: "team size (num_threads) must be >= 1".to_string(),
         });
     }
-    if threads > cost_model::MAX_MODEL_THREADS {
-        return Err(AnalysisError::Validation(
-            loop_ir::ValidateError::TeamTooLarge {
-                requested: threads,
-                max: cost_model::MAX_MODEL_THREADS,
-            },
-        ));
-    }
-    Ok(())
+    check_team_size(threads)
 }
 
 /// Analyze a kernel: full Eq. 1 cost model with victim attribution.

@@ -1,15 +1,17 @@
 //! Parallel, memoized execution of cost-model sweep grids.
 //!
 //! [`SweepEngine`] evaluates a [`SweepGrid`] (`kernels × machines ×
-//! threads × chunks`) across the [`fs_runtime::pool::ThreadPool`] workers,
-//! sharing one [`cost_model::MemoCache`] between workers and across calls. Every
+//! threads × chunks`), sharing one [`cost_model::MemoCache`] between workers
+//! and across calls. Every point's memo entry is probed on the calling
+//! thread; only the misses are computed, across
+//! [`fs_runtime::pool::ThreadPool`] workers when there are several. Every
 //! evaluation strategy produces *identical* results in *identical* order:
 //! each grid point is a pure function of its spec, workers write disjoint
 //! result slots, and output follows the grid's canonical kernel → machine
 //! → threads → chunk enumeration — so a parallel run is byte-for-byte the
 //! sequential run, just faster.
 
-use crate::error::{check_machine, AnalysisError};
+use crate::error::{check_machine, check_team_size, AnalysisError};
 use crate::json::JsonValue;
 use crate::service::ServiceCache;
 use cost_model::sweep::{
@@ -18,6 +20,7 @@ use cost_model::sweep::{
 use cost_model::{FsPath, LoopCost};
 use fs_runtime::pool::ThreadPool;
 use fs_runtime::shared::SharedSlice;
+use loop_ir::Kernel;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -67,8 +70,12 @@ pub struct SweepRunStats {
     /// order). Every entry is *measured*, never derived from model terms:
     /// a memoized point records its (tiny) real lookup time, and a point
     /// truncated by early exit records the truncated evaluation's real
-    /// cost — so no point silently reports zero.
+    /// cost — so no point silently reports zero. A miss's time includes
+    /// its memo probe.
     pub point_wall_ns: Vec<u64>,
+    /// Pool threads this run computed its misses on; 0 when nothing fanned
+    /// out (every point hit, or at most one missed).
+    pub pool_workers: usize,
 }
 
 impl SweepRunStats {
@@ -151,6 +158,7 @@ impl SweepGridResult {
         JsonValue::obj()
             .field("wall_ms", self.stats.wall_ns as f64 / 1e6)
             .field("points_per_sec", self.stats.points_per_sec())
+            .field("pool_workers", self.stats.pool_workers)
             .field("memo_evictions", self.memo_evictions)
             .field("memo_bytes", self.memo_bytes)
             .field("memo_peak_bytes", self.memo_peak_bytes)
@@ -169,6 +177,16 @@ struct PointMemo {
 
 /// An evaluated point with its wall time (ns) and memo traffic.
 type TimedPoint = (SweepOutcome, u64, PointMemo);
+
+/// A point whose memo probe missed: its canonical index, the
+/// chunk-specialised kernel and key its computation needs, and the probe's
+/// wall time, which the point's measured time includes.
+struct Miss {
+    index: usize,
+    kernel: Kernel,
+    key: String,
+    probe_ns: u64,
+}
 
 /// Sweep executor: the worker policy plus a shared [`ServiceCache`] memo —
 /// its own by default, or one handed in via [`Self::with_cache`] (the
@@ -263,6 +281,12 @@ impl SweepEngine {
 
     /// Evaluate every grid point. Fails fast — before evaluating anything —
     /// if any machine, kernel, or axis value is invalid.
+    ///
+    /// Every point's memo entry is probed once, on this thread, and a hit
+    /// is finished there. Only the misses are computed: on a pool of
+    /// `min(workers, misses)` threads when at least two missed and the
+    /// engine has more than one worker, inline otherwise. A miss is never
+    /// looked up again, so cache hit/miss tallies move once per point.
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepGridResult, AnalysisError> {
         let _span = fs_obs::span("sweep.run");
         let run_start = Instant::now();
@@ -282,24 +306,40 @@ impl SweepEngine {
                 reason: "sweep grid contains team size 0".to_string(),
             });
         }
+        for &t in &grid.threads {
+            check_team_size(t)?;
+        }
 
         let points = grid.points();
-        let sequential = self.workers <= 1 || points.len() <= 1;
         fs_obs::gauges::SWEEP_GRID_POINTS.set(points.len() as u64);
-        fs_obs::gauges::SWEEP_WORKERS.set(if sequential {
-            1
+        let mut slots: Vec<Option<TimedPoint>> = Vec::with_capacity(points.len());
+        let mut misses = Vec::new();
+        for (index, spec) in points.iter().enumerate() {
+            slots.push(self.probe(grid, index, spec, &mut misses));
+        }
+        let pool_workers = if misses.len() >= 2 && self.workers > 1 {
+            self.workers.min(misses.len())
         } else {
-            self.workers.min(points.len()) as u64
-        });
-        let timed = if sequential {
-            self.run_points_sequential(grid, &points)
-        } else {
-            self.run_points_parallel(grid, &points)
+            0
         };
-        let mut outcomes = Vec::with_capacity(timed.len());
-        let mut point_wall_ns = Vec::with_capacity(timed.len());
+        fs_obs::gauges::SWEEP_WORKERS.set(pool_workers as u64);
+        let computed = if pool_workers == 0 {
+            misses
+                .iter()
+                .map(|m| self.compute_miss(grid, &points, m))
+                .collect()
+        } else {
+            self.compute_misses_parallel(grid, &points, &misses, pool_workers)
+        };
+        for (m, timed) in misses.iter().zip(computed) {
+            slots[m.index] = Some(timed);
+        }
+
+        let mut outcomes = Vec::with_capacity(slots.len());
+        let mut point_wall_ns = Vec::with_capacity(slots.len());
         let (mut memo_hits, mut memo_misses, mut memo_evictions) = (0, 0, 0);
-        for (o, ns, memo) in timed {
+        for slot in slots {
+            let (o, ns, memo) = slot.expect("every grid point evaluated");
             outcomes.push(o);
             point_wall_ns.push(ns);
             if memo.hit {
@@ -320,59 +360,87 @@ impl SweepEngine {
             stats: SweepRunStats {
                 wall_ns: run_start.elapsed().as_nanos() as u64,
                 point_wall_ns,
+                pool_workers,
             },
         })
     }
 
-    /// [`Self::eval_one`] with its wall time and per-point span/counter.
-    fn eval_timed(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> TimedPoint {
+    /// The one memo lookup of point `index`, under its `sweep.point` span.
+    /// A hit comes back finished; a miss is queued on `misses` with what
+    /// [`Self::compute_miss`] needs.
+    fn probe(
+        &self,
+        grid: &SweepGrid,
+        index: usize,
+        spec: &SweepPointSpec,
+        misses: &mut Vec<Miss>,
+    ) -> Option<TimedPoint> {
         let _span = fs_obs::span("sweep.point");
         fs_obs::counters::SWEEP_POINTS.inc();
         let start = Instant::now();
-        let (outcome, memo) = self.eval_one(grid, spec);
+        let machine = &grid.machines[spec.machine].1;
+        let kernel = kernel_at_chunk(&grid.kernels[spec.kernel].1, spec.chunk);
+        let key = point_key(&kernel, machine, spec.threads, &self.mode, self.path);
+        let cached = self.memo.lookup_point(&key);
         let ns = start.elapsed().as_nanos() as u64;
-        fs_obs::hists::SWEEP_POINT_NS.record_ns(ns);
-        (outcome, ns, memo)
-    }
-
-    /// One point: shard-locked memo lookups, computation outside any lock,
-    /// so workers only serialize on same-shard cache bookkeeping. Reports
-    /// this point's own memo traffic alongside the outcome.
-    fn eval_one(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> (SweepOutcome, PointMemo) {
-        let (kname, kernel) = &grid.kernels[spec.kernel];
-        let (mname, machine) = &grid.machines[spec.machine];
-        let k = kernel_at_chunk(kernel, spec.chunk);
-        let key = point_key(&k, machine, spec.threads, &self.mode, self.path);
-        let (cost, hit, evictions) = match self.memo.lookup_point(&key) {
-            Some(c) => (c, true, 0),
-            None => {
-                let (prep, prep_evictions) = self.memo.prepared_for(&k, machine);
-                let c = compute_point(&k, machine, spec.threads, self.mode, self.path, &prep);
-                let evictions = prep_evictions + self.memo.insert_point(key, c.clone());
-                (c, false, evictions)
+        match cached {
+            Some(cost) => {
+                fs_obs::hists::SWEEP_POINT_NS.record_ns(ns);
+                let memo = PointMemo {
+                    hit: true,
+                    evictions: 0,
+                };
+                Some((outcome(grid, spec, cost), ns, memo))
             }
-        };
-        let outcome = SweepOutcome {
-            kernel: kname.clone(),
-            machine: mname.clone(),
-            threads: spec.threads,
-            chunk: spec.chunk,
-            cost,
-        };
-        (outcome, PointMemo { hit, evictions })
+            None => {
+                misses.push(Miss {
+                    index,
+                    kernel,
+                    key,
+                    probe_ns: ns,
+                });
+                None
+            }
+        }
     }
 
-    fn run_points_sequential(
+    /// Compute a missed point outside any lock and store it, reporting the
+    /// evictions its inserts forced.
+    fn compute_miss(&self, grid: &SweepGrid, points: &[SweepPointSpec], miss: &Miss) -> TimedPoint {
+        let _span = fs_obs::span("sweep.compute");
+        let start = Instant::now();
+        let spec = &points[miss.index];
+        let machine = &grid.machines[spec.machine].1;
+        let (prep, prep_evictions) = self.memo.prepared_for(&miss.kernel, machine);
+        let cost = compute_point(
+            &miss.kernel,
+            machine,
+            spec.threads,
+            self.mode,
+            self.path,
+            &prep,
+        );
+        let evictions = prep_evictions + self.memo.insert_point(miss.key.clone(), cost.clone());
+        let ns = miss.probe_ns + start.elapsed().as_nanos() as u64;
+        fs_obs::hists::SWEEP_POINT_NS.record_ns(ns);
+        let memo = PointMemo {
+            hit: false,
+            evictions,
+        };
+        (outcome(grid, spec, cost), ns, memo)
+    }
+
+    /// [`Self::compute_miss`] for every miss on a pool of `workers`
+    /// threads, results in `misses` order.
+    fn compute_misses_parallel(
         &self,
         grid: &SweepGrid,
         points: &[SweepPointSpec],
+        misses: &[Miss],
+        workers: usize,
     ) -> Vec<TimedPoint> {
-        points.iter().map(|p| self.eval_timed(grid, p)).collect()
-    }
-
-    fn run_points_parallel(&self, grid: &SweepGrid, points: &[SweepPointSpec]) -> Vec<TimedPoint> {
-        let n = points.len();
-        let pool = ThreadPool::new(self.workers.min(n));
+        let n = misses.len();
+        let pool = ThreadPool::new(workers);
         let mut slots: Vec<Option<TimedPoint>> = (0..n).map(|_| None).collect();
         {
             let shared = SharedSlice::new(&mut slots);
@@ -382,16 +450,27 @@ impl SweepEngine {
                 if i >= n {
                     break;
                 }
-                let outcome = self.eval_timed(grid, &points[i]);
+                let timed = self.compute_miss(grid, points, &misses[i]);
                 // SAFETY: the work queue hands index i to exactly one
                 // worker, so writes to slot i are never concurrent.
-                unsafe { *shared.get_mut(i) = Some(outcome) };
+                unsafe { *shared.get_mut(i) = Some(timed) };
             });
         }
         slots
             .into_iter()
-            .map(|s| s.expect("every grid point evaluated"))
+            .map(|s| s.expect("every miss computed"))
             .collect()
+    }
+}
+
+/// The labeled outcome of one grid point.
+fn outcome(grid: &SweepGrid, spec: &SweepPointSpec, cost: LoopCost) -> SweepOutcome {
+    SweepOutcome {
+        kernel: grid.kernels[spec.kernel].0.clone(),
+        machine: grid.machines[spec.machine].0.clone(),
+        threads: spec.threads,
+        chunk: spec.chunk,
+        cost,
     }
 }
 

@@ -34,22 +34,23 @@
 //! - `shutdown` — an acknowledgement line, then the accept loops stop.
 //! - anything malformed — `{"fsd_version":1,"error":"..."}`; the
 //!   connection survives and the next line is read.
+//! - a request whose handling panics — `{"fsd_version":1,"error":
+//!   "internal error: ..."}`, counted in `svc.panics`; the connection
+//!   survives too.
 
 use fs_core::service::{allocate_request_id, parse_request, Command, ParsedRequest};
 use fs_core::{JsonValue, KernelResult, Service, ServiceResponse, FSD_VERSION};
 use fs_obs as obs;
+use std::any::Any;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
+use std::panic::{self, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Poll interval of the non-blocking accept loops (they wake this often to
-/// check the shutdown flag).
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Largest HTTP request body the fallback endpoint accepts, and longest
 /// NDJSON request line the socket accepts.
@@ -99,12 +100,46 @@ impl CommandTally {
     }
 }
 
+/// The address an accept loop listens on: [`Daemon::request_shutdown`]
+/// connects to it once to wake the loop out of a blocking `accept`.
+#[derive(Clone, PartialEq)]
+enum WakeAddr {
+    Unix(PathBuf),
+    Tcp(SocketAddr),
+}
+
+impl WakeAddr {
+    /// A connectable address for `listener`: a wildcard IP becomes the
+    /// loopback address of the same family.
+    fn tcp(listener: &TcpListener) -> io::Result<WakeAddr> {
+        let mut addr = listener.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Ok(WakeAddr::Tcp(addr))
+    }
+
+    /// One throwaway connection. A failure means no loop is accepting
+    /// there, so there is nothing to wake.
+    fn wake(&self) {
+        match self {
+            WakeAddr::Unix(path) => drop(UnixStream::connect(path)),
+            WakeAddr::Tcp(addr) => drop(TcpStream::connect(addr)),
+        }
+    }
+}
+
 /// A running analysis daemon: one shared [`Service`] plus the shutdown
 /// latch both accept loops watch. Wrap it in an [`Arc`] and hand clones to
 /// [`Daemon::serve_unix`] / [`Daemon::serve_http`] on their own threads.
 pub struct Daemon {
     service: Service,
     shutdown: AtomicBool,
+    /// Addresses of the running accept loops, woken on shutdown.
+    accepting: Mutex<Vec<WakeAddr>>,
     started: Instant,
     tally: CommandTally,
     access_log: AtomicBool,
@@ -117,6 +152,7 @@ impl Daemon {
         Daemon {
             service: Service::with_budget(cache_budget),
             shutdown: AtomicBool::new(false),
+            accepting: Mutex::new(Vec::new()),
             started: Instant::now(),
             tally: CommandTally::default(),
             access_log: AtomicBool::new(false),
@@ -135,14 +171,29 @@ impl Daemon {
         &self.service
     }
 
-    /// Ask the accept loops to stop after their current poll.
+    /// Stop the accept loops: set the latch, then connect once to every
+    /// loop's address so a loop blocked in `accept` wakes, sees the latch
+    /// and returns. Connections already being served finish their current
+    /// line.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        // Latch first, list second; a loop registers first and checks the
+        // latch second. Either the loop sees the latch, or its address is
+        // in the list this call reads. The connects run outside the lock,
+        // so a loop that is returning can always unregister.
+        self.shutdown.store(true, Ordering::SeqCst);
+        let accepting = self
+            .accepting
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone();
+        for addr in &accepting {
+            addr.wake();
+        }
     }
 
     /// Has a `shutdown` command (or [`Self::request_shutdown`]) been seen?
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::SeqCst)
     }
 
     // -- protocol ----------------------------------------------------------
@@ -151,14 +202,41 @@ impl Daemon {
     /// Never fails on bad input — malformed lines produce an `error`
     /// response — only on I/O errors writing to `out`. Every line bumps its
     /// per-command tally and, when enabled, emits one access-log record.
+    /// A `shutdown` line only sets the latch; the socket servers wake their
+    /// accept loops with [`Self::request_shutdown`] after replying.
     pub fn handle_line(&self, line: &str, out: &mut dyn Write) -> io::Result<()> {
         self.serve_line(line, out).map(|_| ())
     }
 
     /// [`Self::handle_line`], also telling whether the line was a valid
-    /// request (`false`: it got the protocol-error response).
+    /// request (`false`: it got the protocol-error response). A panic while
+    /// handling the line becomes an `internal error` envelope, a
+    /// `svc.panics` count and a `"panic"` access-log record, and the
+    /// connection keeps serving.
     fn serve_line(&self, line: &str, out: &mut dyn Write) -> io::Result<bool> {
         let t_start = Instant::now();
+        let mut cmd = "error";
+        let handled = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.dispatch_line(line, t_start, &mut cmd, out)
+        }));
+        handled.unwrap_or_else(|payload| {
+            obs::counters::SVC_PANICS.inc();
+            let message = format!("internal error: {}", panic_message(payload.as_ref()));
+            let res = writeln!(out, "{}", error_json(&message).render());
+            self.log_access(allocate_request_id(), cmd, 0, 0, 0, t_start, "panic");
+            res.map(|_| false)
+        })
+    }
+
+    /// The body of [`Self::serve_line`]; records the command in `cmd` as
+    /// soon as it is known.
+    fn dispatch_line(
+        &self,
+        line: &str,
+        t_start: Instant,
+        cmd: &mut &'static str,
+        out: &mut dyn Write,
+    ) -> io::Result<bool> {
         let parsed = match fs_core::json::parse(line) {
             Ok(v) => parse_request(&v),
             Err(e) => Err(format!("parse error: {e}")),
@@ -167,7 +245,7 @@ impl Daemon {
             Ok(p) => p,
             Err(e) => return self.refuse_line(&e, t_start, out).map(|_| false),
         };
-        let cmd = match parsed.command {
+        *cmd = match parsed.command {
             Command::Ping => "ping",
             Command::Stats => "stats",
             Command::Metrics => "metrics",
@@ -175,13 +253,20 @@ impl Daemon {
             Command::Analyze => "analyze",
             Command::Lint => "lint",
         };
+        let cmd = *cmd;
         self.tally.bump(cmd);
+        #[cfg(test)]
+        if line.contains(tests::PANIC_PROBE) {
+            panic!("injected test panic");
+        }
         let (res, rec) = match parsed.command {
             Command::Ping => (writeln!(out, "{}", event_obj("pong").render()), None),
             Command::Stats => (writeln!(out, "{}", self.stats_json().render()), None),
             Command::Metrics => (writeln!(out, "{}", self.metrics_event().render()), None),
             Command::Shutdown => {
-                self.request_shutdown();
+                // Latch only: the connection wakes the accept loops once the
+                // acknowledgement is flushed (`finish_shutdown`).
+                self.shutdown.store(true, Ordering::SeqCst);
                 (writeln!(out, "{}", event_obj("shutdown").render()), None)
             }
             Command::Analyze | Command::Lint => {
@@ -397,30 +482,73 @@ impl Daemon {
         out
     }
 
+    // -- accept loops --------------------------------------------------------
+
+    /// A `shutdown` line only sets the latch. The connection that carried
+    /// it calls this once the acknowledgement is flushed, to wake the
+    /// accept loops; waking them earlier could let `fsd` exit before the
+    /// client has its reply. Returns whether shutdown is under way.
+    fn finish_shutdown(&self) -> bool {
+        let latched = self.shutdown_requested();
+        if latched {
+            self.request_shutdown();
+        }
+        latched
+    }
+
+    /// Block in `accept` until shutdown, serving each connection on its own
+    /// thread. `wake` is registered for [`Self::request_shutdown`] while the
+    /// loop runs.
+    fn accept_loop<S: Send + 'static>(
+        self: &Arc<Self>,
+        wake: WakeAddr,
+        accept: impl Fn() -> io::Result<S>,
+        serve: fn(&Daemon, S),
+    ) -> io::Result<()> {
+        let accepting = || self.accepting.lock().unwrap_or_else(|e| e.into_inner());
+        accepting().push(wake.clone());
+        let served = loop {
+            if self.shutdown_requested() {
+                break Ok(());
+            }
+            match accept() {
+                // The shutdown wake, or a client arriving during shutdown:
+                // drop it and stop.
+                Ok(_) if self.shutdown_requested() => break Ok(()),
+                Ok(stream) => {
+                    let daemon = Arc::clone(self);
+                    thread::spawn(move || serve(&daemon, stream));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        accepting().retain(|a| *a != wake);
+        served
+    }
+
     // -- Unix socket server ------------------------------------------------
 
     /// Accept NDJSON clients until a `shutdown` command arrives. Each
     /// connection gets a thread; all of them share `self` (and the cache).
+    /// The socket file must stay in place until this returns: shutdown
+    /// wakes the loop by connecting to it.
     pub fn serve_unix(self: &Arc<Self>, listener: UnixListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let daemon = Arc::clone(self);
-                    thread::spawn(move || daemon.unix_connection(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        let path = listener.local_addr()?.as_pathname().map(Path::to_path_buf);
+        let path = path.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the daemon socket must be bound to a path",
+            )
+        })?;
+        self.accept_loop(
+            WakeAddr::Unix(path),
+            || listener.accept().map(|(stream, _)| stream),
+            Daemon::unix_connection,
+        )
     }
 
     fn unix_connection(&self, stream: UnixStream) {
-        // The listener is non-blocking and accepted sockets inherit that;
-        // reads here should block.
-        let _ = stream.set_nonblocking(false);
         let Ok(writer) = stream.try_clone() else {
             return;
         };
@@ -447,10 +575,10 @@ impl Daemon {
             if line.trim().is_empty() {
                 continue;
             }
-            if self.handle_line(&line, &mut writer).is_err() || writer.flush().is_err() {
-                return;
-            }
-            if self.shutdown_requested() {
+            let served = self
+                .handle_line(&line, &mut writer)
+                .and_then(|()| writer.flush());
+            if self.finish_shutdown() || served.is_err() {
                 return;
             }
         }
@@ -463,23 +591,14 @@ impl Daemon {
     /// body, `GET /ping`, `GET /stats`, `GET /metrics` (Prometheus text
     /// exposition). One request per connection.
     pub fn serve_http(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let daemon = Arc::clone(self);
-                    thread::spawn(move || daemon.http_connection(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        self.accept_loop(
+            WakeAddr::tcp(&listener)?,
+            || listener.accept().map(|(stream, _)| stream),
+            Daemon::http_connection,
+        )
     }
 
     fn http_connection(&self, stream: TcpStream) {
-        let _ = stream.set_nonblocking(false);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         let Ok(writer) = stream.try_clone() else {
             return;
@@ -490,6 +609,7 @@ impl Daemon {
             Ok((status, ctype, body)) => {
                 let _ = write_http_response(&mut writer, status, ctype, &body);
                 let _ = writer.flush();
+                self.finish_shutdown();
             }
             Err(_) => {
                 // A refused request (e.g. an over-long line) leaves unread
@@ -614,6 +734,17 @@ fn event_obj(event: &str) -> JsonValue {
         .field("event", event)
 }
 
+/// The text of a caught panic's payload.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "panic"
+    }
+}
+
 /// The protocol-error response line.
 fn error_json(message: &str) -> JsonValue {
     JsonValue::obj()
@@ -676,6 +807,10 @@ pub fn bind_unix(path: &Path) -> io::Result<UnixListener> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fault injection: a request line carrying this field panics inside
+    /// request handling, after its command is tallied.
+    pub(super) const PANIC_PROBE: &str = "\"test_panic\"";
 
     fn analyze_line(kernels: &[&str]) -> String {
         let ks = kernels
@@ -794,5 +929,50 @@ mod tests {
         d.handle_line("{\"cmd\": \"shutdown\"}", &mut out).unwrap();
         assert!(d.shutdown_requested());
         assert!(String::from_utf8(out).unwrap().contains("\"shutdown\""));
+    }
+
+    #[test]
+    fn a_panicking_request_gets_an_error_envelope_and_the_connection_survives() {
+        obs::configure(obs::ObsConfig {
+            spans: false,
+            counters: true,
+            ring: None,
+        });
+        let panics_before = obs::counters::SVC_PANICS.get();
+        let probe = "{\"cmd\": \"ping\", \"test_panic\": true}";
+        let d = Arc::new(Daemon::new(None));
+        let mut out = Vec::new();
+        d.handle_line(probe, &mut out).unwrap();
+        let v = fs_core::json::parse(String::from_utf8(out).unwrap().trim()).unwrap();
+        assert_eq!(
+            v.get("fsd_version").and_then(|v| v.as_u64()),
+            Some(FSD_VERSION)
+        );
+        assert_eq!(
+            v.get("error").and_then(|e| e.as_str()),
+            Some("internal error: injected test panic")
+        );
+        assert!(obs::counters::SVC_PANICS.get() > panics_before);
+        obs::configure(obs::ObsConfig::disabled());
+
+        // Over a real socket, the same connection answers its next line.
+        let path = std::env::temp_dir().join(format!("fsd-unit-{}.sock", std::process::id()));
+        let listener = bind_unix(&path).unwrap();
+        let server = Arc::clone(&d);
+        let accept_loop = thread::spawn(move || server.serve_unix(listener));
+        let stream = UnixStream::connect(&path).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        writeln!(writer, "{probe}").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("internal error"), "got: {line}");
+        line.clear();
+        writeln!(writer, "{{\"cmd\": \"ping\"}}").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"pong\""), "got: {line}");
+        d.request_shutdown();
+        accept_loop.join().unwrap().unwrap();
+        let _ = std::fs::remove_file(&path);
     }
 }

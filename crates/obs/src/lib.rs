@@ -320,8 +320,11 @@ pub mod counters {
     pub static SVC_CACHE_MISSES: Counter = Counter::new("svc.cache_misses");
     /// Service requests that returned an error envelope.
     pub static SVC_ERRORS: Counter = Counter::new("svc.errors");
+    /// Daemon requests whose handling panicked (answered with an
+    /// `internal error` envelope).
+    pub static SVC_PANICS: Counter = Counter::new("svc.panics");
 
-    pub(super) static ALL: [&Counter; 34] = [
+    pub(super) static ALL: [&Counter; 35] = [
         &SWEEP_MEMO_HITS,
         &SWEEP_MEMO_MISSES,
         &SWEEP_POINTS,
@@ -356,6 +359,7 @@ pub mod counters {
         &SVC_CACHE_HITS,
         &SVC_CACHE_MISSES,
         &SVC_ERRORS,
+        &SVC_PANICS,
     ];
 }
 

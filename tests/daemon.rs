@@ -18,19 +18,26 @@ use fs_core::json::{parse, JsonValue};
 use fs_core::service::parse_request;
 use fs_core::{obs, Service};
 use fs_daemon::{bind_unix, Daemon};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 static NEXT_SOCKET: AtomicU32 = AtomicU32::new(0);
 
 /// The obs registry is process-global: tests that reconfigure it (metrics
 /// scrape, ring tracing) serialize here and restore the disabled default.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+/// A unique temp socket path for one test server.
+fn temp_socket_path() -> PathBuf {
+    let n = NEXT_SOCKET.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("fsd-test-{}-{n}.sock", std::process::id()))
+}
 
 /// A live daemon on a unique temp socket.
 struct TestServer {
@@ -41,8 +48,7 @@ struct TestServer {
 
 impl TestServer {
     fn start() -> Self {
-        let n = NEXT_SOCKET.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!("fsd-test-{}-{n}.sock", std::process::id()));
+        let path = temp_socket_path();
         let listener = bind_unix(&path).expect("bind test socket");
         let daemon = Arc::new(Daemon::new(None));
         let server = Arc::clone(&daemon);
@@ -737,5 +743,112 @@ fn stats_and_metrics_commands_report_uptime_and_tallies() {
         .get("hists")
         .and_then(|h| h.get("svc.request_ns"))
         .is_some());
+    server.stop();
+}
+
+/// How long an accept loop may take to return after shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Run an accept loop on a thread that reports its result through a
+/// channel, so a loop that never wakes fails the test instead of hanging it.
+fn serve_in_background(
+    serve: impl FnOnce() -> io::Result<()> + Send + 'static,
+) -> mpsc::Receiver<io::Result<()>> {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(serve());
+    });
+    rx
+}
+
+fn assert_stopped(served: &mpsc::Receiver<io::Result<()>>, what: &str) {
+    match served.recv_timeout(WAKE_TIMEOUT) {
+        Ok(result) => result.unwrap_or_else(|e| panic!("{what} failed: {e}")),
+        Err(_) => panic!("{what} still blocked {WAKE_TIMEOUT:?} after shutdown"),
+    }
+}
+
+#[test]
+fn shutdown_wakes_idle_accept_loops() {
+    let unix_daemon = Arc::new(Daemon::new(None));
+    let path = temp_socket_path();
+    let listener = bind_unix(&path).unwrap();
+    let server = Arc::clone(&unix_daemon);
+    let unix_loop = serve_in_background(move || server.serve_unix(listener));
+
+    let http_daemon = Arc::new(Daemon::new(None));
+    let tcp = TcpListener::bind("127.0.0.1:0").unwrap();
+    let server = Arc::clone(&http_daemon);
+    let http_loop = serve_in_background(move || server.serve_http(tcp));
+
+    // No client ever connects: both loops sit blocked in accept.
+    thread::sleep(Duration::from_millis(100));
+    unix_daemon.request_shutdown();
+    assert_stopped(&unix_loop, "idle serve_unix");
+    http_daemon.request_shutdown();
+    assert_stopped(&http_loop, "idle serve_http");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn socket_shutdown_stops_both_loops_of_one_daemon() {
+    // The `fsd` layout: one daemon serving the Unix socket and the HTTP
+    // fallback, here on a wildcard address so the wake goes to loopback.
+    let daemon = Arc::new(Daemon::new(None));
+    let path = temp_socket_path();
+    let listener = bind_unix(&path).unwrap();
+    let server = Arc::clone(&daemon);
+    let unix_loop = serve_in_background(move || server.serve_unix(listener));
+    let tcp = TcpListener::bind("0.0.0.0:0").unwrap();
+    let server = Arc::clone(&daemon);
+    let http_loop = serve_in_background(move || server.serve_http(tcp));
+
+    let mut stream = UnixStream::connect(&path).unwrap();
+    writeln!(stream, "{{\"cmd\": \"shutdown\"}}").unwrap();
+    assert_stopped(&unix_loop, "serve_unix");
+    assert_stopped(&http_loop, "serve_http");
+    // `fsd` exits as soon as its loops return, so the acknowledgement must
+    // already be on the wire by then.
+    stream.set_nonblocking(true).unwrap();
+    let mut ack = String::new();
+    BufReader::new(stream).read_line(&mut ack).unwrap();
+    assert!(ack.contains("\"shutdown\""), "got: {ack}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn oversized_grid_team_gets_an_error_envelope_and_the_connection_survives() {
+    let server = TestServer::start();
+    let mut stream = server.connect();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    // One point used to trip the model's assert on the connection thread;
+    // two points killed the pool workers first.
+    for threads in ["[65]", "[65, 66]"] {
+        writeln!(
+            stream,
+            "{{\"kernels\": [\"@histogram\"], \
+             \"grid\": {{\"threads\": {threads}, \"chunks\": [1]}}}}"
+        )
+        .unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let v = parse(line.trim()).unwrap();
+        let errors: Vec<&str> = v
+            .get("errors")
+            .and_then(|e| e.as_arr())
+            .map(|e| e.iter().filter_map(|m| m.as_str()).collect())
+            .unwrap_or_default();
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.starts_with("sweep grid: ") && e.contains("65")),
+            "threads {threads} got: {line}"
+        );
+    }
+    writeln!(stream, "{{\"cmd\": \"ping\"}}").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"pong\""), "got: {line}");
     server.stop();
 }

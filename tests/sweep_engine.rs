@@ -315,3 +315,64 @@ fn sweep_json_document_shape_is_stable() {
     assert_eq!(json, r.to_json().render());
     assert!(matches!(r.to_json(), JsonValue::Obj(_)));
 }
+
+#[test]
+fn teams_over_the_model_limit_fail_before_any_point_runs() {
+    let limit = cost_model::MAX_MODEL_THREADS;
+    for threads in [
+        vec![limit + 1],
+        vec![limit + 1, limit + 2],
+        vec![2, limit + 1],
+    ] {
+        let grid = SweepGrid::new(
+            vec![("histogram".to_string(), scaled_kernel("histogram"))],
+            ("paper48".to_string(), machines::paper48()),
+            threads.clone(),
+            vec![1],
+        );
+        let engine = SweepEngine::new().workers(2);
+        match engine.run(&grid) {
+            Err(fs_core::AnalysisError::Validation(loop_ir::ValidateError::TeamTooLarge {
+                requested,
+                max,
+            })) => assert_eq!((requested, max), (limit + 1, limit)),
+            other => panic!("threads {threads:?}: expected TeamTooLarge, got {other:?}"),
+        }
+        let s = engine.cache().stats();
+        assert_eq!((s.hits, s.misses), (0, 0), "nothing evaluated");
+    }
+}
+
+#[test]
+fn grid_memo_tallies_move_once_per_point() {
+    let kernels = vec![
+        ("histogram".to_string(), scaled_kernel("histogram")),
+        ("linreg".to_string(), scaled_kernel("linreg")),
+    ];
+    let grid = SweepGrid::new(
+        kernels,
+        ("paper48".to_string(), machines::paper48()),
+        vec![2, 4],
+        vec![1, 16],
+    );
+    let n = grid.len() as u64;
+    let engine = SweepEngine::new().workers(2);
+
+    let cold = engine.run(&grid).unwrap();
+    let s = engine.cache().stats();
+    assert_eq!((s.hits, s.misses), (0, n), "cold: one probe per point");
+    assert_eq!((cold.memo_hits, cold.memo_misses), (0, n));
+    assert_eq!(cold.stats.pool_workers, 2, "cold misses fan out");
+
+    let warm = engine.run(&grid).unwrap();
+    let s = engine.cache().stats();
+    assert_eq!((s.hits, s.misses), (n, n), "warm: one hit per point");
+    assert_eq!((warm.memo_hits, warm.memo_misses), (n, 0));
+    assert_eq!(warm.stats.pool_workers, 0, "an all-hit run never fans out");
+    assert_eq!(warm.stats.point_wall_ns.len() as u64, n);
+    assert!(
+        warm.stats.point_wall_ns.iter().all(|&ns| ns > 0),
+        "every hit measures its probe: {:?}",
+        warm.stats.point_wall_ns
+    );
+}
