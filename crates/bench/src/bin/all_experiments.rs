@@ -1,52 +1,22 @@
 //! Regenerate every table and figure of the paper in one run (the output
-//! recorded in EXPERIMENTS.md). Set `FS_QUICK=1` for a reduced thread
-//! sweep.
+//! committed as `bench_results_all_experiments.txt` and recorded in
+//! EXPERIMENTS.md).
 //!
-//! Tables go to stdout; progress and per-binary wall time go to stderr
-//! (interleaved with each binary's own `sim.*` counter summary), so
-//! `all_experiments > EXPERIMENTS.out` captures clean tables while the
-//! terminal still shows where the time went.
+//! Tables go to stdout; the wall time and the `sim.*` counter summary go
+//! to stderr, so `all_experiments > EXPERIMENTS.out` captures clean tables.
 
-use std::process::Command;
 use std::time::Instant;
 
 fn main() {
-    // Keep each experiment in its own binary so they can be run (and
-    // profiled) independently; this driver just runs them all in paper
-    // order.
-    let bins = [
-        "fig2_chunksize",
-        "fig6_linearity",
-        "table1_heat",
-        "table2_dft",
-        "table3_linreg",
-        "table4_heat_pred",
-        "table5_dft_pred",
-        "table6_linreg_pred",
-        "fig8_heat_summary",
-        "fig9_dft_summary",
-    ];
-    let exe = std::env::current_exe().expect("own path");
-    let dir = exe.parent().expect("bin dir");
-    let total = Instant::now();
-    for (i, bin) in bins.iter().enumerate() {
-        eprintln!("[{}/{}] {bin} ...", i + 1, bins.len());
-        let path = dir.join(bin);
-        let t0 = Instant::now();
-        let status = Command::new(&path)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to run {}: {e}", path.display()));
-        assert!(status.success(), "{bin} failed");
-        eprintln!(
-            "[{}/{}] {bin} done in {:.2}s",
-            i + 1,
-            bins.len(),
-            t0.elapsed().as_secs_f64()
-        );
-        println!();
-    }
+    fs_bench::enable_sim_counters();
+    let start = Instant::now();
+    print!(
+        "{}",
+        fs_bench::repro::render(&fs_bench::paper_thread_counts())
+    );
     eprintln!(
-        "all experiments regenerated in {:.2}s",
-        total.elapsed().as_secs_f64()
+        "all experiments regenerated in {:.2}s; {}",
+        start.elapsed().as_secs_f64(),
+        fs_bench::sim_summary()
     );
 }

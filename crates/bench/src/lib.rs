@@ -1,8 +1,10 @@
-//! Experiment harness shared by the per-table/per-figure binaries.
+//! Experiment harness: the workload definitions, thread sweeps and row
+//! computations of the paper's evaluation.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it; the workload definitions, thread sweeps
-//! and row computations live here so the binaries stay declarative.
+//! [`repro`] regenerates every table and figure in one pass that evaluates
+//! each distinct point once (`all_experiments` prints it);
+//! [`fs_effect_table`] and [`prediction_table`] build single tables from
+//! the same per-row helpers.
 //!
 //! Scaling note (recorded in EXPERIMENTS.md): the paper's kernels are
 //! 5000x5000-class problems measured on real hardware; our substitute
@@ -13,6 +15,8 @@
 use cost_model::{machine_cost, modeled_fs_overhead, AnalysisOptions};
 use loop_ir::Kernel;
 use machine::MachineConfig;
+
+pub mod repro;
 
 pub use cache_sim::{simulate_kernel, SimOptions, SimPath, SimPrepared};
 pub use loop_ir::kernels;
@@ -117,15 +121,88 @@ pub fn fs_effect_table(
         let prepared = SimPrepared::new(&k_fs, machine.line_size());
         let t_fs = measured_time_seconds_prepared(&k_fs, machine, t, &prepared);
         let t_nfs = measured_time_seconds_prepared(&k_nfs, machine, t, &prepared);
-        let modeled = modeled_fs_overhead(&k_fs, &k_nfs, machine, &AnalysisOptions::new(t));
-        FsEffectRow {
-            threads: t,
-            t_fs,
-            t_nfs,
-            measured_pct: ((t_fs - t_nfs) / t_fs).max(0.0) * 100.0,
-            modeled_pct: modeled.fs_overhead_fraction * 100.0,
-        }
+        let full = full_model(&k_fs, &k_nfs, machine, t);
+        effect_row(t, t_fs, t_nfs, &full)
     })
+}
+
+/// The full model of one FS/no-FS kernel pair, reduced to what the tables
+/// print.
+#[derive(Debug)]
+struct FullModel {
+    fs_cases: u64,
+    nfs_cases: u64,
+    fs_overhead_fraction: f64,
+}
+
+fn full_model(k_fs: &Kernel, k_nfs: &Kernel, machine: &MachineConfig, threads: u32) -> FullModel {
+    let m = modeled_fs_overhead(k_fs, k_nfs, machine, &AnalysisOptions::new(threads));
+    FullModel {
+        fs_cases: m.fs_loop.fs.fs_cases,
+        nfs_cases: m.nfs_loop.fs.fs_cases,
+        fs_overhead_fraction: m.fs_overhead_fraction,
+    }
+}
+
+/// The §III-E prediction of one kernel from `runs` sampled chunk runs,
+/// reduced to what the tables print.
+#[derive(Debug)]
+struct Predicted {
+    runs: u64,
+    /// `None` when the series was too short to fit.
+    cases: Option<f64>,
+    fs_cycles: f64,
+    total_cycles: f64,
+}
+
+fn predicted(kernel: &Kernel, machine: &MachineConfig, threads: u32, runs: u64) -> Predicted {
+    let l = cost_model::analyze_loop(
+        kernel,
+        machine,
+        &AnalysisOptions::new(threads).predict(runs),
+    );
+    Predicted {
+        runs,
+        cases: l.fs_predicted_cases,
+        fs_cycles: l.fs_cycles,
+        total_cycles: l.total_cycles,
+    }
+}
+
+/// The row arithmetic of Tables I-III.
+fn effect_row(threads: u32, t_fs: f64, t_nfs: f64, full: &FullModel) -> FsEffectRow {
+    FsEffectRow {
+        threads,
+        t_fs,
+        t_nfs,
+        measured_pct: ((t_fs - t_nfs) / t_fs).max(0.0) * 100.0,
+        modeled_pct: full.fs_overhead_fraction * 100.0,
+    }
+}
+
+/// The row arithmetic of Tables IV-VI.
+fn prediction_row(
+    threads: u32,
+    full: &FullModel,
+    fs: &Predicted,
+    nfs: &Predicted,
+) -> PredictionRow {
+    let pred_pct = if fs.total_cycles > 0.0 {
+        ((fs.fs_cycles - nfs.fs_cycles).max(0.0) / fs.total_cycles) * 100.0
+    } else {
+        0.0
+    };
+    PredictionRow {
+        threads,
+        // A series too short to fit falls back to the full model count.
+        pred_fs_cases: fs.cases.unwrap_or(full.fs_cases as f64),
+        pred_nfs_cases: nfs.cases.unwrap_or(full.nfs_cases as f64),
+        pred_pct,
+        modeled_fs_cases: full.fs_cases,
+        modeled_nfs_cases: full.nfs_cases,
+        modeled_pct: full.fs_overhead_fraction * 100.0,
+        sample_runs: fs.runs,
+    }
 }
 
 /// One row of a Tables IV-VI style prediction comparison.
@@ -175,40 +252,10 @@ pub fn prediction_table(
         let k_nfs = mk(c_nfs, t);
         let runs_fs = sample_runs(&k_fs, t, nominal_runs);
         let runs_nfs = sample_runs(&k_nfs, t, nominal_runs);
-
-        let full = modeled_fs_overhead(&k_fs, &k_nfs, machine, &AnalysisOptions::new(t));
-        let mut popts = AnalysisOptions::new(t);
-        popts.predict_chunk_runs = Some(runs_fs);
-        let pred_fs_loop = cost_model::analyze_loop(&k_fs, machine, &popts);
-        popts.predict_chunk_runs = Some(runs_nfs);
-        let pred_nfs_loop = cost_model::analyze_loop(&k_nfs, machine, &popts);
-
-        // A series too short to fit falls back to the full model count.
-        let pred_fs = pred_fs_loop
-            .fs_predicted_cases
-            .unwrap_or(full.fs_loop.fs.fs_cases as f64);
-        let pred_nfs = pred_nfs_loop
-            .fs_predicted_cases
-            .unwrap_or(full.nfs_loop.fs.fs_cases as f64);
-
-        let pred_pct = if pred_fs_loop.total_cycles > 0.0 {
-            ((pred_fs_loop.fs_cycles - pred_nfs_loop.fs_cycles).max(0.0)
-                / pred_fs_loop.total_cycles)
-                * 100.0
-        } else {
-            0.0
-        };
-
-        PredictionRow {
-            threads: t,
-            pred_fs_cases: pred_fs,
-            pred_nfs_cases: pred_nfs,
-            pred_pct,
-            modeled_fs_cases: full.fs_loop.fs.fs_cases,
-            modeled_nfs_cases: full.nfs_loop.fs.fs_cases,
-            modeled_pct: full.fs_overhead_fraction * 100.0,
-            sample_runs: runs_fs,
-        }
+        let full = full_model(&k_fs, &k_nfs, machine, t);
+        let fs = predicted(&k_fs, machine, t, runs_fs);
+        let nfs = predicted(&k_nfs, machine, t, runs_nfs);
+        prediction_row(t, &full, &fs, &nfs)
     })
 }
 
@@ -301,23 +348,6 @@ pub fn sim_summary() -> String {
         snap.counter("sim.false_sharing"),
         snap.counter("sim.true_sharing"),
     )
-}
-
-/// Print [`sim_summary`] to stderr, tagged with the experiment name. The
-/// per-table binaries call this on exit so `all_experiments` progress
-/// output interleaves simulator totals with its own timing lines (stderr,
-/// so piping the tables to a file stays clean).
-pub fn eprint_sim_summary(label: &str) {
-    eprintln!("[{label}] {}", sim_summary());
-}
-
-/// Smaller thread sweep for quick checks (`FS_QUICK=1`).
-pub fn thread_counts_from_env() -> Vec<u32> {
-    if std::env::var("FS_QUICK").is_ok() {
-        vec![2, 8, 48]
-    } else {
-        paper_thread_counts()
-    }
 }
 
 #[cfg(test)]

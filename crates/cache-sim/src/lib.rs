@@ -6,8 +6,8 @@
 //! MESI write-invalidate coherence simulator ([`mesi::MultiCoreSim`]) with
 //! the cache geometry of [`machine::presets::paper48`].
 //!
-//! * [`lru`] — the capacity-bounded LRU map and a reuse-distance profiler
-//!   (stack-distance analysis).
+//! * [`lru`] — the capacity-bounded LRU map (stack-distance analysis) and
+//!   the set-associative caches built on it.
 //! * [`trace`] — per-thread and interleaved memory-trace generation from
 //!   [`loop_ir::Kernel`]s under the static round-robin schedule.
 //! * [`mesi`] — private L1/L2 per core, optional shared last level per
@@ -27,10 +27,9 @@ pub mod sharing;
 pub mod sim;
 pub mod stats;
 pub mod trace;
-pub mod trace_io;
 
 pub use dense::DenseMultiCoreSim;
-pub use lru::{DenseSetLru, LruCache, ReuseDistanceProfiler};
+pub use lru::{DenseSetLru, LruCache};
 pub use mesi::MultiCoreSim;
 pub use prefetch::StreamPrefetcher;
 pub use sharing::{LineClass, LineRecord, SharingAnalysis};
@@ -40,4 +39,3 @@ pub use sim::{
 };
 pub use stats::{SimStats, ThreadStats};
 pub use trace::{Interleave, MemAccess, TraceGen};
-pub use trace_io::{dump_kernel_trace, read_trace, write_trace, Trace, TraceReadError};

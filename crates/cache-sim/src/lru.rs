@@ -1,11 +1,10 @@
 //! A capacity-bounded LRU map built on an intrusive doubly-linked list over
-//! a slab, plus a reuse-distance profiler.
+//! a slab.
 //!
-//! This single structure backs three users:
+//! This single structure backs two users:
 //! * the per-thread *cache states* of the paper's FS model (stack-distance
 //!   analysis simulating a fully-associative LRU cache, §III-C),
-//! * each set of the set-associative caches in the MESI simulator,
-//! * the [`ReuseDistanceProfiler`] used by the ablation benches.
+//! * each set of the set-associative caches in the MESI simulator.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -536,62 +535,6 @@ impl<V> DenseSetLists<V> {
     }
 }
 
-/// Records the reuse (stack) distance of every access over an *unbounded*
-/// LRU stack, building the histogram from which miss ratios at any cache
-/// size can be read off — the classic use of stack-distance analysis.
-#[derive(Debug)]
-pub struct ReuseDistanceProfiler {
-    stack: Vec<u64>,
-    /// histogram[d] = number of accesses with stack distance d (capped).
-    histogram: Vec<u64>,
-    /// Accesses to lines never seen before.
-    pub cold: u64,
-    max_tracked: usize,
-}
-
-impl ReuseDistanceProfiler {
-    pub fn new(max_tracked_distance: usize) -> Self {
-        ReuseDistanceProfiler {
-            stack: Vec::new(),
-            histogram: vec![0; max_tracked_distance + 1],
-            cold: 0,
-            max_tracked: max_tracked_distance,
-        }
-    }
-
-    /// Record an access to `line`, returning its stack distance (`None` for
-    /// a cold access).
-    pub fn access(&mut self, line: u64) -> Option<usize> {
-        if let Some(pos) = self.stack.iter().position(|&l| l == line) {
-            self.stack.remove(pos);
-            self.stack.insert(0, line);
-            self.histogram[pos.min(self.max_tracked)] += 1;
-            Some(pos)
-        } else {
-            self.stack.insert(0, line);
-            self.cold += 1;
-            None
-        }
-    }
-
-    pub fn histogram(&self) -> &[u64] {
-        &self.histogram
-    }
-
-    /// Number of misses a fully-associative LRU cache of `lines` lines would
-    /// take on the recorded trace (cold misses included).
-    pub fn misses_at_capacity(&self, lines: usize) -> u64 {
-        let far: u64 = self
-            .histogram
-            .iter()
-            .enumerate()
-            .filter(|&(d, _)| d >= lines)
-            .map(|(_, &c)| c)
-            .sum();
-        far + self.cold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,22 +741,5 @@ mod tests {
         assert_eq!(c.peek(5), Some(&30));
         // Recency survives: set 0's LRU (old key 4, now 6) is evicted next.
         assert_eq!(c.insert(0, 8, 80), Some((6, 40)));
-    }
-
-    #[test]
-    fn profiler_histogram_and_capacity_misses() {
-        let mut p = ReuseDistanceProfiler::new(16);
-        // trace: A B A B C A
-        for &l in &[1u64, 2, 1, 2, 3, 1] {
-            p.access(l);
-        }
-        assert_eq!(p.cold, 3);
-        // A reused at distance 1 (B in between), B at 1, A at 2 (B, C).
-        assert_eq!(p.histogram()[1], 2);
-        assert_eq!(p.histogram()[2], 1);
-        // A 2-line cache misses cold(3) + the distance-2 reuse = 4.
-        assert_eq!(p.misses_at_capacity(2), 4);
-        // A 3-line cache only takes the cold misses.
-        assert_eq!(p.misses_at_capacity(3), 3);
     }
 }

@@ -60,6 +60,17 @@ const HTTP_BODY_LIMIT: u64 = 8 * 1024 * 1024;
 /// lines are a 400, not an unbounded buffer.
 const HTTP_LINE_LIMIT: usize = 8 * 1024;
 
+/// How [`Daemon::serve_line`] answered a protocol line.
+#[derive(Clone, Copy)]
+enum LineOutcome {
+    /// A valid request, answered.
+    Served,
+    /// An invalid request, answered with the protocol-error envelope.
+    Refused,
+    /// Handling panicked; answered with the `internal error` envelope.
+    Panicked,
+}
+
 /// Per-command request tallies, kept in plain relaxed atomics so `stats`
 /// reports them even when the obs registry is fully disabled.
 #[derive(Default)]
@@ -208,12 +219,11 @@ impl Daemon {
         self.serve_line(line, out).map(|_| ())
     }
 
-    /// [`Self::handle_line`], also telling whether the line was a valid
-    /// request (`false`: it got the protocol-error response). A panic while
-    /// handling the line becomes an `internal error` envelope, a
-    /// `svc.panics` count and a `"panic"` access-log record, and the
+    /// [`Self::handle_line`], also telling how the line was answered. A
+    /// panic while handling the line becomes an `internal error` envelope,
+    /// a `svc.panics` count and a `"panic"` access-log record, and the
     /// connection keeps serving.
-    fn serve_line(&self, line: &str, out: &mut dyn Write) -> io::Result<bool> {
+    fn serve_line(&self, line: &str, out: &mut dyn Write) -> io::Result<LineOutcome> {
         let t_start = Instant::now();
         let mut cmd = "error";
         let handled = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -224,7 +234,7 @@ impl Daemon {
             let message = format!("internal error: {}", panic_message(payload.as_ref()));
             let res = writeln!(out, "{}", error_json(&message).render());
             self.log_access(allocate_request_id(), cmd, 0, 0, 0, t_start, "panic");
-            res.map(|_| false)
+            res.map(|_| LineOutcome::Panicked)
         })
     }
 
@@ -236,14 +246,18 @@ impl Daemon {
         t_start: Instant,
         cmd: &mut &'static str,
         out: &mut dyn Write,
-    ) -> io::Result<bool> {
+    ) -> io::Result<LineOutcome> {
         let parsed = match fs_core::json::parse(line) {
             Ok(v) => parse_request(&v),
             Err(e) => Err(format!("parse error: {e}")),
         };
         let parsed = match parsed {
             Ok(p) => p,
-            Err(e) => return self.refuse_line(&e, t_start, out).map(|_| false),
+            Err(e) => {
+                return self
+                    .refuse_line(&e, t_start, out)
+                    .map(|_| LineOutcome::Refused)
+            }
         };
         *cmd = match parsed.command {
             Command::Ping => "ping",
@@ -286,7 +300,7 @@ impl Daemon {
             ),
             None => self.log_access(allocate_request_id(), cmd, 0, 0, 0, t_start, "ok"),
         }
-        res.map(|_| true)
+        res.map(|_| LineOutcome::Served)
     }
 
     /// Answer an invalid request line with the protocol-error envelope.
@@ -685,12 +699,12 @@ impl Daemon {
                 let mut body = String::new();
                 reader.take(content_length).read_to_string(&mut body)?;
                 let mut out: Vec<u8> = Vec::new();
-                let ok = self.serve_line(&body, &mut out)?;
-                Ok((
-                    if ok { 200 } else { 400 },
-                    CT_JSON,
-                    String::from_utf8_lossy(&out).into_owned(),
-                ))
+                let status = match self.serve_line(&body, &mut out)? {
+                    LineOutcome::Served => 200,
+                    LineOutcome::Refused => 400,
+                    LineOutcome::Panicked => 500,
+                };
+                Ok((status, CT_JSON, String::from_utf8_lossy(&out).into_owned()))
             }
             _ => Ok((404, CT_JSON, "{\"error\": \"not found\"}\n".to_string())),
         }
@@ -774,6 +788,7 @@ fn write_http_response(
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Payload Too Large",
+        500 => "Internal Server Error",
         _ => "Error",
     };
     write!(
@@ -974,5 +989,42 @@ mod tests {
         d.request_shutdown();
         accept_loop.join().unwrap().unwrap();
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_panicking_http_request_gets_a_500_and_a_bad_one_a_400() {
+        let d = Arc::new(Daemon::new(None));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::clone(&d);
+        let http_loop = thread::spawn(move || server.serve_http(listener));
+        let post = |body: &str| -> String {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write!(
+                stream,
+                "POST / HTTP/1.1\r\nHost: fsd\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .unwrap();
+            let mut raw = String::new();
+            stream.read_to_string(&mut raw).unwrap();
+            raw
+        };
+        let raw = post("{\"cmd\": \"ping\", \"test_panic\": true}");
+        assert!(
+            raw.starts_with("HTTP/1.1 500 Internal Server Error\r\n"),
+            "got: {raw}"
+        );
+        assert!(
+            raw.contains("internal error: injected test panic"),
+            "got: {raw}"
+        );
+        let raw = post("not json");
+        assert!(
+            raw.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+            "got: {raw}"
+        );
+        d.request_shutdown();
+        http_loop.join().unwrap().unwrap();
     }
 }
