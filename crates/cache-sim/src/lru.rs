@@ -24,8 +24,7 @@ struct Node<K, V> {
 type Slot<K, V> = Option<Node<K, V>>;
 
 /// An LRU map holding at most `capacity` entries. All operations are O(1)
-/// expected; [`LruCache::distance_of`] is O(n) and meant for analysis, not
-/// hot paths.
+/// expected.
 #[derive(Debug, Clone)]
 pub struct LruCache<K, V> {
     capacity: usize,
@@ -195,22 +194,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             cache: self,
             cur: self.head,
         }
-    }
-
-    /// Stack distance of `key`: how many *other* distinct entries are more
-    /// recently used (0 = MRU). `None` if absent. O(n).
-    pub fn distance_of(&self, key: &K) -> Option<usize> {
-        let mut cur = self.head;
-        let mut d = 0;
-        while cur != NIL {
-            let n = self.node(cur);
-            if &n.key == key {
-                return Some(d);
-            }
-            d += 1;
-            cur = n.next;
-        }
-        None
     }
 }
 
@@ -587,17 +570,6 @@ mod tests {
         c.touch(&2);
         let keys: Vec<u32> = c.iter_mru().map(|(&k, _)| k).collect();
         assert_eq!(keys, vec![2, 4, 3, 1]);
-    }
-
-    #[test]
-    fn distance_of_counts_more_recent_entries() {
-        let mut c: LruCache<u32, ()> = LruCache::new(4);
-        for k in 1..=4 {
-            c.insert(k, ());
-        }
-        assert_eq!(c.distance_of(&4), Some(0));
-        assert_eq!(c.distance_of(&1), Some(3));
-        assert_eq!(c.distance_of(&9), None);
     }
 
     #[test]

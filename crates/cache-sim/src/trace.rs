@@ -32,8 +32,8 @@ pub enum Interleave {
     /// the ordering the paper's model assumes.
     PerIteration,
     /// Each thread finishes a whole chunk before the next thread runs a
-    /// chunk (round-robin at chunk granularity) — a looser interleaving used
-    /// by the ablation bench.
+    /// chunk (round-robin at chunk granularity) — a looser interleaving, an
+    /// ablation of the model's lockstep ordering.
     PerChunk,
     /// Like [`Interleave::PerIteration`], but the thread order rotates each
     /// round — ablation of the model's fixed lockstep ordering (thread 0

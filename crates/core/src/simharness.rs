@@ -2,16 +2,12 @@
 //!
 //! Every table and figure of the evaluation is a grid of *independent*
 //! simulator replays (kernel × threads × chunk × interleave). Each point is
-//! a pure function of its index, so [`run_indexed`] evaluates them across
-//! the [`fs_runtime::pool::ThreadPool`] workers with the same determinism
-//! contract as [`crate::sweep::SweepEngine`]: workers claim indices from an
-//! atomic counter and write disjoint result slots, so the output vector is
-//! in canonical index order and byte-identical to a serial run regardless
-//! of worker count or scheduling.
-
-use fs_runtime::pool::ThreadPool;
-use fs_runtime::shared::SharedSlice;
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! a pure function of its index, so [`run_indexed`] evaluates them with
+//! [`fs_runtime::pool::map_indexed`], the same fan-out as
+//! [`crate::sweep::SweepEngine`]: workers claim indices from an atomic
+//! counter and write disjoint result slots, so the output vector is in
+//! canonical index order and byte-identical to a serial run regardless of
+//! worker count or scheduling.
 
 /// Evaluate `eval(0..n)` and return the results in index order, using up to
 /// `workers` pool threads. `workers <= 1` (or a trivial grid) runs inline
@@ -23,37 +19,13 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let eval_point = |i: usize| {
+    let workers = if n <= 1 { 1 } else { workers.clamp(1, n) };
+    fs_obs::gauges::SIM_WORKERS.set(workers as u64);
+    fs_runtime::pool::map_indexed(workers, n, |i| {
         let _span = fs_obs::span("sim.point");
         fs_obs::counters::SIM_POINTS.inc();
         eval(i)
-    };
-    if workers <= 1 || n <= 1 {
-        fs_obs::gauges::SIM_WORKERS.set(1);
-        return (0..n).map(eval_point).collect();
-    }
-    let workers = workers.min(n);
-    fs_obs::gauges::SIM_WORKERS.set(workers as u64);
-    let pool = ThreadPool::new(workers);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    {
-        let shared = SharedSlice::new(&mut slots);
-        let next = AtomicUsize::new(0);
-        pool.run_scoped(|_worker| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let result = eval_point(i);
-            // SAFETY: the atomic counter hands index i to exactly one
-            // worker, and the pool joins before `slots` is read.
-            unsafe { *shared.get_mut(i) = Some(result) };
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index evaluated"))
-        .collect()
+    })
 }
 
 /// Worker count for the measured-side harness: the `FS_SIM_WORKERS`

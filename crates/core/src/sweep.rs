@@ -4,7 +4,7 @@
 //! threads × chunks`), sharing one [`cost_model::MemoCache`] between workers
 //! and across calls. Every point's memo entry is probed on the calling
 //! thread; only the misses are computed, across
-//! [`fs_runtime::pool::ThreadPool`] workers when there are several. Every
+//! [`fs_runtime::pool::map_indexed`] workers when there are several. Every
 //! evaluation strategy produces *identical* results in *identical* order:
 //! each grid point is a pure function of its spec, workers write disjoint
 //! result slots, and output follows the grid's canonical kernel → machine
@@ -18,10 +18,7 @@ use cost_model::sweep::{
     compute_point, kernel_at_chunk, point_key, EvalMode, SweepGrid, SweepPointSpec,
 };
 use cost_model::{FsPath, LoopCost};
-use fs_runtime::pool::ThreadPool;
-use fs_runtime::shared::SharedSlice;
 use loop_ir::Kernel;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -323,14 +320,9 @@ impl SweepEngine {
             0
         };
         fs_obs::gauges::SWEEP_WORKERS.set(pool_workers as u64);
-        let computed = if pool_workers == 0 {
-            misses
-                .iter()
-                .map(|m| self.compute_miss(grid, &points, m))
-                .collect()
-        } else {
-            self.compute_misses_parallel(grid, &points, &misses, pool_workers)
-        };
+        let computed = fs_runtime::pool::map_indexed(pool_workers, misses.len(), |i| {
+            self.compute_miss(grid, &points, &misses[i])
+        });
         for (m, timed) in misses.iter().zip(computed) {
             slots[m.index] = Some(timed);
         }
@@ -428,38 +420,6 @@ impl SweepEngine {
             evictions,
         };
         (outcome(grid, spec, cost), ns, memo)
-    }
-
-    /// [`Self::compute_miss`] for every miss on a pool of `workers`
-    /// threads, results in `misses` order.
-    fn compute_misses_parallel(
-        &self,
-        grid: &SweepGrid,
-        points: &[SweepPointSpec],
-        misses: &[Miss],
-        workers: usize,
-    ) -> Vec<TimedPoint> {
-        let n = misses.len();
-        let pool = ThreadPool::new(workers);
-        let mut slots: Vec<Option<TimedPoint>> = (0..n).map(|_| None).collect();
-        {
-            let shared = SharedSlice::new(&mut slots);
-            let next = AtomicUsize::new(0);
-            pool.run_scoped(|_worker| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let timed = self.compute_miss(grid, points, &misses[i]);
-                // SAFETY: the work queue hands index i to exactly one
-                // worker, so writes to slot i are never concurrent.
-                unsafe { *shared.get_mut(i) = Some(timed) };
-            });
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every miss computed"))
-            .collect()
     }
 }
 

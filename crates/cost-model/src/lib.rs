@@ -28,10 +28,7 @@ pub mod sweep;
 pub mod symbolic;
 pub mod total;
 
-pub use analytic::{
-    capacity_prediction, chunk_footprint, CacheGeometry, CapacityPrediction, ChunkFootprint,
-    LevelGeometry,
-};
+pub use analytic::{chunk_footprint, ChunkFootprint};
 pub use contention::{
     bus_interference, shared_cache_interference, BusInterference, SharedCacheInterference,
 };

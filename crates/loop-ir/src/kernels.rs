@@ -1,6 +1,6 @@
 //! Built-in kernels: the paper's three evaluation workloads plus several
-//! classic false-sharing workloads used by the examples, tests and ablation
-//! benches.
+//! classic false-sharing workloads used by the examples, tests and bench
+//! binaries.
 //!
 //! All constructors take size parameters so tests can use tiny instances and
 //! the experiment harness can use paper-scale ones. `chunk` is the

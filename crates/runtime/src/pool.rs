@@ -5,6 +5,8 @@
 //! with spawn latency (the real OpenMP runtime keeps its team parked on a
 //! futex for exactly this reason).
 
+use crate::shared::SharedSlice;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -107,6 +109,42 @@ impl ThreadPool {
     }
 }
 
+/// Evaluate `f(0..n)` on a pool of up to `workers` threads built for this
+/// call, and return the results in index order. Workers claim indices from
+/// an atomic counter and write disjoint result slots, so the output equals
+/// the serial `(0..n).map(f)` whatever the worker count or scheduling. With
+/// at most one useful worker it runs inline on the caller, with no pool.
+pub fn map_indexed<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let pool = ThreadPool::new(workers);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    {
+        let shared = SharedSlice::new(&mut slots);
+        let next = AtomicUsize::new(0);
+        pool.run_scoped(|_worker| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let result = f(i);
+            // SAFETY: the atomic counter hands index i to exactly one
+            // worker, and the pool joins before `slots` is read.
+            unsafe { *shared.get_mut(i) = Some(result) };
+        });
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index evaluated"))
+        .collect()
+}
+
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         for tx in &self.senders {
@@ -121,7 +159,7 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn run_executes_on_every_worker() {
@@ -170,6 +208,15 @@ mod tests {
             }
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn map_indexed_returns_results_in_index_order() {
+        for workers in [0, 1, 3, 64] {
+            let out = map_indexed(workers, 17, |i| i * i);
+            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(map_indexed(4, 0, |i| i).is_empty());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! `tests/lint_differential.rs`.
 
 use cost_model::{
-    analyze_loop, capacity_prediction, predict_fs, run_fs_model, AnalysisOptions, CacheGeometry,
-    FsPath,
+    analyze_loop, chunk_footprint, predict_fs, run_fs_model, AnalysisOptions, FsPath,
 };
 use fs_core::{corpus_kernel_with_consts, kernel_to_dsl};
 use fs_core::{FsModelConfig, FsModelResult};
@@ -282,14 +281,15 @@ fn bundled_corpus_is_symbolic_and_exact() {
     assert_eq!(closed_form, ["heat", "linreg", "matmul"]);
 }
 
-/// Fragment-boundary kernels of the reuse-distance capacity prediction:
-/// kernels whose shape sits at or beyond the fragment's edge (triangular
-/// inner bounds, non-unit mixed strides) must get a prediction exactly when
-/// they are inside it, and the symbolic engine (which falls back outside
-/// its own fragment) must still give reference-identical counts.
+/// Fragment-boundary kernels of the per-chunk footprint recursion (the
+/// FS005 lint's capacity model): kernels whose shape sits at or beyond the
+/// fragment's edge (triangular inner bounds, non-unit mixed strides) must
+/// get a footprint exactly when they are inside it, and the symbolic engine
+/// (which falls back outside its own fragment) must still give
+/// reference-identical counts.
 #[test]
-fn analytic_boundary_kernels_fall_back_identically() {
-    // (source, expect_capacity): the triangular nest has non-constant inner
+fn footprint_boundary_kernels_fall_back_identically() {
+    // (source, expect_footprint): the triangular nest has non-constant inner
     // trip counts so the footprint recursion must decline; the mixed-stride
     // multi-array nest is constant-bounded and stays in the fragment.
     let cases: [(&str, bool); 3] = [
@@ -328,16 +328,12 @@ fn analytic_boundary_kernels_fall_back_identically() {
         ),
     ];
     for threads in [2u32, 8] {
-        for (src, expect_capacity) in cases {
+        for (src, expect_footprint) in cases {
             let kernel = fs_core::parse_kernel(src).unwrap();
             let cfg = FsModelConfig::for_machine(&presets::paper48(), threads);
-            let geometry = CacheGeometry::for_machine(&presets::paper48());
-            let bases = kernel.array_bases(cfg.line_size);
-            let capacity =
-                capacity_prediction(&kernel, &cfg, &geometry, &kernel.access_plan(), &bases);
             assert_eq!(
-                capacity.is_some(),
-                expect_capacity,
+                chunk_footprint(&kernel, cfg.line_size).is_some(),
+                expect_footprint,
                 "{} threads={threads}: fragment membership flipped",
                 kernel.name
             );

@@ -2,7 +2,7 @@
 //! simulator must tell the same story — the paper's central accuracy claim,
 //! checked here in its qualitative form on small instances.
 
-use cache_sim::{simulate_kernel, SimOptions};
+use cache_sim::{simulate_kernel, Interleave, MultiCoreSim, SimOptions, TraceGen};
 use cost_model::{run_fs_model, FsModelConfig};
 use loop_ir::{kernels, Kernel};
 use machine::presets;
@@ -131,5 +131,53 @@ fn fs_grows_with_team_on_shared_line() {
             sim_fs(&kernels::dotprod_partials(8, 64, false), t) > 200,
             "T={t}"
         );
+    }
+}
+
+/// The FS-model ablations of DESIGN.md §5 on `dft(32, 960, 1)` at 8 threads
+/// on paper48: deeper (L1+L2) stacks, line-granularity counting and
+/// 16-way set-associative cache states leave the count unchanged, while
+/// invalidate-on-detect collapses it to the simulator's FS miss count,
+/// which no trace interleaving moves.
+#[test]
+fn fs_model_ablations_pin_the_dft_counts() {
+    let machine = presets::paper48();
+    let kernel = kernels::dft(32, 960, 1);
+    let base = FsModelConfig::for_machine(&machine, 8);
+    let cases = |edit: fn(&mut FsModelConfig, &machine::MachineConfig)| {
+        let mut cfg = base.clone();
+        edit(&mut cfg, &machine);
+        run_fs_model(&kernel, &cfg).fs_cases
+    };
+    assert_eq!(cases(|_, _| {}), 846_720, "baseline");
+    assert_eq!(
+        cases(|c, m| {
+            let levels = &m.caches.levels;
+            c.stack_lines = (levels[0].size_bytes + levels[1].size_bytes) as usize / 64;
+        }),
+        846_720,
+        "L1+L2-deep stacks"
+    );
+    assert_eq!(
+        cases(|c, _| c.count_true_sharing = true),
+        846_720,
+        "line granularity"
+    );
+    assert_eq!(cases(|c, _| c.stack_sets = 64), 846_720, "16-way stacks");
+    assert_eq!(
+        cases(|c, _| c.invalidate_on_detect = true),
+        61_200,
+        "invalidate-on-detect"
+    );
+
+    let gen = TraceGen::new(&kernel, 8, 64);
+    for il in [
+        Interleave::PerIteration,
+        Interleave::PerIterationSkewed,
+        Interleave::PerChunk,
+    ] {
+        let mut sim = MultiCoreSim::new(&machine, 8);
+        gen.for_each_interleaved(il, |a| sim.access(a.thread, a.addr, a.size, a.is_write));
+        assert_eq!(sim.stats().total_false_sharing(), 61_200, "{il:?}");
     }
 }
