@@ -18,7 +18,7 @@
 //! ([`loop_ir::Kernel::array_bases`]), so every line inside the kernel's
 //! footprint *is* its own dense id (identity mapping + bounds check);
 //! halo reads past the last array and wrapped negative addresses take the
-//! hash-map overflow region of `LineInterner`. Cache *set* selection
+//! hash-map overflow region of [`LineInterner`]. Cache *set* selection
 //! stays a function of the original line number, exactly as the reference
 //! path computes it.
 //!
@@ -50,12 +50,14 @@ use std::collections::HashMap;
 /// core actually touches.
 pub(crate) const DENSE_LINE_LIMIT: u64 = 1 << 21;
 
-/// Maps cache-line numbers to contiguous `u32` ids. Lines inside the
-/// kernel's array footprint (`[0, dense_lines)`) are the identity mapping;
-/// anything else — adjacent-line prefetches past the last array, halo
-/// reads, negative addresses wrapped by the `as u64` cast — is assigned
-/// the next id from a hash-map overflow region.
-struct LineInterner {
+/// Maps cache-line numbers to contiguous `u32` ids, for the dense tables
+/// of both fast engines: this replay and the FS model's dense walk
+/// (`cost_model::fs`). Lines inside the kernel's array footprint
+/// (`[0, dense_lines)`, per [`loop_ir::Kernel::line_footprint`]) are the
+/// identity mapping; anything else — adjacent-line prefetches past the
+/// last array, halo reads, negative addresses wrapped by the `as u64`
+/// cast — is assigned the next id from a hash-map overflow region.
+pub struct LineInterner {
     dense_lines: u64,
     overflow: HashMap<u64, u32>,
     /// `overflow_lines[id - dense_lines]` = original line of an overflow id.
@@ -63,7 +65,7 @@ struct LineInterner {
 }
 
 impl LineInterner {
-    fn new(dense_lines: u64) -> Self {
+    pub fn new(dense_lines: u64) -> Self {
         LineInterner {
             dense_lines,
             overflow: HashMap::new(),
@@ -71,8 +73,9 @@ impl LineInterner {
         }
     }
 
+    /// The id of `line`, assigning the next overflow id on first sight.
     #[inline]
-    fn id_of(&mut self, line: u64) -> u32 {
+    pub fn id_of(&mut self, line: u64) -> u32 {
         if line < self.dense_lines {
             line as u32
         } else {
@@ -87,8 +90,9 @@ impl LineInterner {
         }
     }
 
+    /// The line an id was assigned to.
     #[inline]
-    fn line_of(&self, id: u32) -> u64 {
+    pub fn line_of(&self, id: u32) -> u64 {
         if (id as u64) < self.dense_lines {
             id as u64
         } else {
@@ -96,7 +100,8 @@ impl LineInterner {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Ids handed out so far: the dense region plus every overflow line.
+    pub fn slots(&self) -> usize {
         self.dense_lines as usize + self.overflow_lines.len()
     }
 }
@@ -727,7 +732,7 @@ impl DenseMultiCoreSim {
     /// Debug invariant check mirroring the reference
     /// `MultiCoreSim::check_invariants`. O(ids × cores); test-only.
     pub fn check_invariants(&self) {
-        for id in 0..self.interner.len() as u32 {
+        for id in 0..self.interner.slots() as u32 {
             let i = id as usize;
             match self.dir.tags[i] {
                 TAG_MODIFIED | TAG_EXCLUSIVE => {

@@ -28,7 +28,7 @@ pub mod sim;
 pub mod stats;
 pub mod trace;
 
-pub use dense::DenseMultiCoreSim;
+pub use dense::{DenseMultiCoreSim, LineInterner};
 pub use lru::{DenseSetLru, LruCache};
 pub use mesi::MultiCoreSim;
 pub use prefetch::StreamPrefetcher;

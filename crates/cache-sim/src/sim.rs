@@ -10,7 +10,8 @@
 //!   [`crate::dense::DenseMultiCoreSim`].
 //!
 //! Both produce bit-identical [`SimStats`] (differential tests in
-//! `tests/sim_path_equivalence.rs` and the `sim_bench` correctness gate);
+//! `tests/sim_path_equivalence.rs`, and the paper's Tables I–III kernels
+//! at full size in `crates/bench/tests/paper_tables.rs`);
 //! kernels whose footprint exceeds the dense sizing limit silently fall
 //! back to the reference path.
 
@@ -93,7 +94,7 @@ impl SimPrepared {
         let plan = kernel.access_plan();
         let bases = kernel.array_bases(line_size);
         let cplan = plan.compile(kernel.vars.len(), &bases);
-        let footprint_lines = footprint_lines(kernel, &bases, line_size);
+        let footprint_lines = kernel.line_footprint(line_size);
         SimPrepared {
             plan,
             bases,
@@ -106,18 +107,6 @@ impl SimPrepared {
     /// layout (the dense id range of the optimized path).
     pub fn footprint_lines(&self) -> u64 {
         self.footprint_lines
-    }
-}
-
-/// Lines spanned by `[0, last_base + last_array_size)` — the same formula
-/// as the FS model's `footprint::line_footprint` (cost-model depends on
-/// this crate, so the three-line computation is duplicated here rather than
-/// inverting the dependency).
-fn footprint_lines(kernel: &Kernel, bases: &[u64], line_size: u64) -> u64 {
-    let line_size = line_size.max(1);
-    match (bases.last(), kernel.arrays.last()) {
-        (Some(&base), Some(decl)) => (base + decl.size_bytes().max(1)).div_ceil(line_size),
-        _ => 0,
     }
 }
 
@@ -140,7 +129,7 @@ pub fn simulate_kernel_prepared(
     prepared: &SimPrepared,
 ) -> SimStats {
     let _span = fs_obs::span("sim.replay");
-    // Clock reads only when the registry is live (the FS_OBS_GATE guarantee).
+    // Clock reads only when the registry is live: the disabled path stays branch-only.
     let t_replay = fs_obs::counters_enabled().then(std::time::Instant::now);
     let gen = TraceGen::from_parts(
         kernel,

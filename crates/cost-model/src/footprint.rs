@@ -76,20 +76,6 @@ fn byte_stride(kernel: &Kernel, r: &ArrayRef, v: VarId, step: i64) -> i64 {
     stride * elem * step
 }
 
-/// Number of cache lines spanned by the kernel's line-aligned array layout
-/// ([`Kernel::array_bases`]): every in-bounds reference falls in a line
-/// `< line_footprint(...)`. The FS model sizes its dense line tables from
-/// this; out-of-footprint lines (halo reads past an array end, wrapped
-/// negative addresses) take its hash-map fallback.
-pub fn line_footprint(kernel: &Kernel, line_size: u64) -> u64 {
-    let line_size = line_size.max(1);
-    let bases = kernel.array_bases(line_size);
-    match (bases.last(), kernel.arrays.last()) {
-        (Some(&base), Some(decl)) => (base + decl.size_bytes().max(1)).div_ceil(line_size),
-        _ => 0,
-    }
-}
-
 /// Partition the body's references into reference groups:
 /// `(representative, member count, has_write, has_read)`.
 pub fn reference_groups(kernel: &Kernel) -> Vec<(ArrayRef, usize, bool, bool)> {

@@ -32,7 +32,7 @@
 //! * [`FsPath::Reference`] is the direct transcription of the paper's
 //!   algorithm over hash maps. It is the executable specification: the
 //!   optimized path must produce *identical* counts, which the equivalence
-//!   property tests and `fs_model_bench` enforce.
+//!   tests in `tests/fs_path_equivalence.rs` enforce.
 //! * [`FsPath::Symbolic`] derives the counts in closed form inside the
 //!   decidable affine fragment ([`crate::symbolic`]), running its period
 //!   windows on the optimized path's tables and finishing in-fragment runs
@@ -53,6 +53,7 @@
 
 use crate::symbolic::SymbolicRun;
 use cache_sim::lru::{DenseSetLru, LruCache};
+use cache_sim::LineInterner;
 use loop_ir::walk::LockstepWalker;
 use loop_ir::{AccessPlan, Kernel, StreamCursor, ValidateError};
 use std::collections::HashMap;
@@ -445,56 +446,6 @@ impl RefMachine {
     }
 }
 
-/// Maps cache-line numbers to contiguous `u32` ids. Lines inside the
-/// kernel's array footprint (`[0, dense_lines)`, per
-/// [`crate::footprint::line_footprint`]) are the identity mapping; anything
-/// else — halo reads past the last array, negative addresses wrapped by the
-/// `as u64` cast — is assigned the next id from a hash-map overflow region.
-struct LineInterner {
-    dense_lines: u64,
-    overflow: HashMap<u64, u32>,
-    /// `overflow_lines[id - dense_lines]` = original line of an overflow id.
-    overflow_lines: Vec<u64>,
-}
-
-impl LineInterner {
-    fn new(dense_lines: u64) -> Self {
-        LineInterner {
-            dense_lines,
-            overflow: HashMap::new(),
-            overflow_lines: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn id_of(&mut self, line: u64) -> u32 {
-        if line < self.dense_lines {
-            line as u32
-        } else {
-            let next = self.dense_lines as u32 + self.overflow_lines.len() as u32;
-            match self.overflow.entry(line) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    self.overflow_lines.push(line);
-                    *e.insert(next)
-                }
-            }
-        }
-    }
-
-    fn line_of(&self, id: u32) -> u64 {
-        if (id as u64) < self.dense_lines {
-            id as u64
-        } else {
-            self.overflow_lines[(id as u64 - self.dense_lines) as usize]
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.dense_lines as usize + self.overflow_lines.len()
-    }
-}
-
 /// Result of an FS-model evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FsModelResult {
@@ -639,7 +590,7 @@ pub(crate) fn dispatch_fs_model(
         cfg.num_threads
     );
     // Clock reads only when the registry is live: the disabled path must
-    // stay branch-only (the FS_OBS_GATE guarantee).
+    // stay branch-only.
     let t_run = fs_obs::counters_enabled().then(std::time::Instant::now);
     let (result, engine) = match cfg.path {
         FsPath::Reference => (
@@ -714,7 +665,7 @@ pub(crate) fn run_dense_or_reference(
     plan: &AccessPlan,
     bases: &[u64],
 ) -> (FsModelResult, FsPath) {
-    let footprint_lines = crate::footprint::line_footprint(kernel, cfg.line_size);
+    let footprint_lines = kernel.line_footprint(cfg.line_size);
     if footprint_lines > DENSE_LINE_LIMIT {
         fs_obs::counters::FS_DENSE_FALLBACKS.inc();
         (
@@ -843,7 +794,7 @@ impl DenseMachine {
         let num_threads = cfg.num_threads.max(1) as usize;
         let (num_sets, ways) = set_geometry(cfg.stack_lines, cfg.stack_sets);
         let interner = LineInterner::new(Self::identity_lines(footprint_lines));
-        let table_len = interner.len();
+        let table_len = interner.slots();
         DenseMachine {
             line_size: cfg.line_size,
             granules: cfg.line_size / 64,
@@ -1025,7 +976,7 @@ impl DenseMachine {
     /// obs counters.
     pub(crate) fn finish(mut self, res: &mut FsModelResult) {
         fs_obs::counters::FS_LRU_EVICTIONS.add(self.evictions);
-        fs_obs::counters::FS_LINE_TABLE_SLOTS.add(self.interner.len() as u64);
+        fs_obs::counters::FS_LINE_TABLE_SLOTS.add(self.interner.slots() as u64);
         self.flush_line_cases(res);
     }
 }

@@ -63,7 +63,7 @@ const MAX_WINDOW_STEPS: u64 = 1 << 16;
 /// Minimum accesses simulated per snapshot entry (`threads × stack lines`)
 /// in one window: window boundaries sit at the smallest multiple of the
 /// period with at least this many, so snapshots and compares cost a
-/// bounded fraction of the simulation. Chosen from `symbolic_bench`-style
+/// bounded fraction of the simulation. Chosen from symbolic-vs-dense
 /// timings on a 2-core host (docs/HOTPATH.md): at 2 the 48-thread heat c64
 /// table, which never verifies, measured about 1.2x the dense walk; at 8
 /// the 48-thread heat c1 table loses its closed form; 4 keeps both.
@@ -290,7 +290,7 @@ fn run_tuned(
         window,
         finish_declined,
     };
-    let footprint_lines = crate::footprint::line_footprint(kernel, cfg.line_size);
+    let footprint_lines = kernel.line_footprint(cfg.line_size);
     // Region lines must be their own dense ids for a shift to be id
     // arithmetic; the padded regions of `Kernel::array_bases` always are.
     let region_end = xp.regions.end_line.last().copied().unwrap_or(0);

@@ -9,8 +9,8 @@
 //! delimited JSON requests on a Unix socket (default `fsd.sock`), with an
 //! optional minimal HTTP/1.1 fallback. Every client shares one sharded,
 //! LRU-bounded analysis cache, so repeated and overlapping requests hit
-//! memoized cost-model state instead of recomputing it — the warm-path
-//! speedup `fsd_bench` measures. Protocol and examples: `docs/DAEMON.md`.
+//! memoized cost-model state instead of recomputing it (perfbench's
+//! `svc_warm` workload measures the warm path). Protocol and examples: `docs/DAEMON.md`.
 //!
 //! Observability defaults to counters-only ([`obs::ObsConfig`]): counters,
 //! gauges, and latency histograms are fixed-size cumulative atomics, safe

@@ -64,6 +64,20 @@ impl Kernel {
         }
         bases
     }
+
+    /// Number of cache lines spanned by the [`Kernel::array_bases`] layout:
+    /// every in-bounds reference falls in a line `< line_footprint(...)`.
+    /// Both fast engines size their dense line tables from this;
+    /// out-of-footprint lines (halo reads past an array end, wrapped
+    /// negative addresses) take their hash-map fallback.
+    pub fn line_footprint(&self, line_size: u64) -> u64 {
+        let line_size = line_size.max(1);
+        let bases = self.array_bases(line_size);
+        match (bases.last(), self.arrays.last()) {
+            (Some(&base), Some(decl)) => (base + decl.size_bytes().max(1)).div_ceil(line_size),
+            _ => 0,
+        }
+    }
 }
 
 /// One memory access of the innermost body, with everything precomputed

@@ -20,8 +20,8 @@
 //! Everything is gated on [`ObsConfig`] bits stored in one process-global
 //! relaxed atomic. With the default (disabled) configuration a span is one
 //! relaxed load and a branch, and a counter add is the same — no clock
-//! reads, no allocation, no locks. The `fs_model_bench` CI gate asserts the
-//! instrumented hot loop stays within 2% of the uninstrumented baseline.
+//! reads, no allocation, no locks. perfbench's untraced passes run this
+//! way, so a costlier disabled path shows in their figures.
 //!
 //! Instrumentation is deliberately *phase-grained*: spans wrap model runs,
 //! sweep points, plan compilations, and predictor fits — never individual
@@ -239,7 +239,7 @@ impl Gauge {
 
 /// The pipeline's counter taxonomy. Names are `area.metric`, dot-separated,
 /// and are the stable identifiers exported in `--json` metrics, the
-/// `--profile` summary, and `BENCH_*.json` artifacts.
+/// `--profile` summary, and the daemon's `metrics` command.
 pub mod counters {
     use super::Counter;
 

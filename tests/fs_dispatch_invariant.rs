@@ -9,6 +9,10 @@
 //! `LoopCost::fs_path` names the engine that answered. Only a closed form
 //! applies steps in closed form (`fs.symbolic_extrapolated_steps`).
 //!
+//! The same counters turn two speed-ups that come from doing less work
+//! into exact checks: the closed form skips nearly all lockstep steps on
+//! large kernels, and the lint runs no FS model.
+//!
 //! A test binary of its own: the counters are process-global, so no other
 //! test may run the model while this one reads them, and the tests here
 //! take turns through [`COUNTERS`].
@@ -98,6 +102,7 @@ struct Tallies {
     symbolic: u64,
     direct: u64,
     fallbacks: u64,
+    steps: u64,
     extrapolated_steps: u64,
 }
 
@@ -109,6 +114,7 @@ fn tallies() -> Tallies {
         symbolic: counters::FS_DISPATCH_SYMBOLIC.get(),
         direct: counters::FS_SYMBOLIC_DIRECT.get(),
         fallbacks: counters::FS_SYMBOLIC_FALLBACKS.get(),
+        steps: counters::FS_STEPS.get(),
         extrapolated_steps: counters::FS_SYMBOLIC_EXTRAPOLATED_STEPS.get(),
     }
 }
@@ -229,6 +235,106 @@ fn early_exit_point_on_symbolic_runs_the_model_twice() {
             "{}: early exit changed the counts",
             kernel.name
         );
+    }
+    obs::configure(obs::ObsConfig::disabled());
+}
+
+/// Large in-fragment kernels, where the dense walk replays millions of
+/// steps and the closed form verifies one steady-state window and
+/// extrapolates the rest, at the problem size given to each builder.
+fn large_kernels(heat_rows: u64, linreg_points: u64, matmul_rows: u64) -> [Kernel; 3] {
+    [
+        loop_ir::kernels::heat_diffusion(heat_rows, 514, 1),
+        loop_ir::kernels::linear_regression(linreg_points, 16, 1),
+        loop_ir::kernels::matmul(matmul_rows, 16, 8, 1),
+    ]
+}
+
+/// The symbolic engine's speed-up on large kernels comes from simulating
+/// fewer steps, so it is asserted as a step count: the closed form answers
+/// each kernel and applies at least 98% of the lockstep steps without
+/// simulating them (a 50x cut in simulated steps).
+#[test]
+fn closed_form_skips_most_steps_on_large_kernels() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    obs::configure(obs::ObsConfig::enabled());
+    let mut cfg = fs_core::FsModelConfig::for_machine(&presets::paper48(), 8);
+    cfg.path = FsPath::Symbolic;
+    let before = tallies();
+    let mut closed_forms = before.symbolic;
+    for kernel in large_kernels(32768, 1 << 20, 262144) {
+        fs_core::run_fs_model(&kernel, &cfg);
+        closed_forms += 1;
+        assert_eq!(
+            counters::FS_DISPATCH_SYMBOLIC.get(),
+            closed_forms,
+            "{}: no closed form",
+            kernel.name
+        );
+    }
+    let after = tallies();
+    let steps = after.steps - before.steps;
+    let extrapolated = after.extrapolated_steps - before.extrapolated_steps;
+    assert!(
+        extrapolated * 100 >= steps * 98,
+        "closed form applied {extrapolated} of {steps} lockstep steps (< 98%)"
+    );
+    obs::configure(obs::ObsConfig::disabled());
+}
+
+/// At the largest size of each large kernel whose dense walk takes under
+/// 2 s in the test profile, the closed form still answers and its counts
+/// equal the dense walk's. The six runs fan out over two workers.
+#[test]
+fn closed_form_matches_dense_walk_on_large_kernels() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    obs::configure(obs::ObsConfig::enabled());
+    let cfg = fs_core::FsModelConfig::for_machine(&presets::paper48(), 8);
+    let kernels = large_kernels(16384, 1 << 18, 65536);
+    let paths = [FsPath::Symbolic, FsPath::Optimized];
+    let closed_forms = counters::FS_DISPATCH_SYMBOLIC.get();
+    let results = fs_core::run_indexed(2 * kernels.len(), 2, |i| {
+        let cfg = fs_core::FsModelConfig {
+            path: paths[i % 2],
+            ..cfg.clone()
+        };
+        fs_core::run_fs_model(&kernels[i / 2], &cfg)
+    });
+    assert_eq!(
+        counters::FS_DISPATCH_SYMBOLIC.get(),
+        closed_forms + kernels.len() as u64,
+        "a kernel got no closed form"
+    );
+    for (kernel, pair) in kernels.iter().zip(results.chunks(2)) {
+        assert_eq!(
+            pair[0], pair[1],
+            "{}: closed form diverges from the dense walk",
+            kernel.name
+        );
+    }
+    obs::configure(obs::ObsConfig::disabled());
+}
+
+/// The lint answers in closed form: linting the bundled corpus (8 threads,
+/// chunks 1 and 4) runs no FS model at all.
+#[test]
+fn lint_runs_no_fs_model() {
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    obs::configure(obs::ObsConfig::enabled());
+    let machine = presets::paper48();
+    let model_runs = counters::FS_MODEL_RUNS.get();
+    for entry in fs_core::CORPUS {
+        let kernel = fs_core::parse_kernel(entry.source).expect("bundled kernel parses");
+        for chunk in [1u64, 4] {
+            let kernel = kernel_at_chunk(&kernel, chunk);
+            fs_core::try_lint(&kernel, &machine, 8).expect("corpus kernel lints");
+            assert_eq!(
+                counters::FS_MODEL_RUNS.get(),
+                model_runs,
+                "@{} chunk {chunk}: the lint ran the FS model",
+                entry.name
+            );
+        }
     }
     obs::configure(obs::ObsConfig::disabled());
 }

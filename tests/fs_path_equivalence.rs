@@ -246,6 +246,8 @@ proptest! {
 /// exactly heat, linreg and matmul — the others are handed to the dense
 /// walk. Pinning the closed-form set keeps the closed form itself under
 /// test: were it to stop engaging, every kernel would still be exact.
+/// The dense walk equals the reference field for field at the bundled
+/// chunk (1 for every corpus kernel) and at chunk 4.
 #[test]
 fn bundled_corpus_is_symbolic_and_exact() {
     let machine = presets::paper48();
@@ -255,6 +257,19 @@ fn bundled_corpus_is_symbolic_and_exact() {
         let mut reference = FsModelConfig::for_machine(&machine, 8);
         reference.path = FsPath::Reference;
         let want = run_fs_model(&kernel, &reference);
+        let mut optimized = reference.clone();
+        optimized.path = FsPath::Optimized;
+        assert_eq!(
+            run_fs_model(&kernel, &optimized),
+            want,
+            "{name}: dense walk diverges from reference at bundled size"
+        );
+        let chunk4 = fs_core::kernel_at_chunk(&kernel, 4);
+        assert_eq!(
+            run_fs_model(&chunk4, &optimized),
+            run_fs_model(&chunk4, &reference),
+            "{name} chunk 4: dense walk diverges from reference"
+        );
 
         let mut symbolic = reference.clone();
         symbolic.path = FsPath::Symbolic;

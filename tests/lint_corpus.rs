@@ -49,9 +49,12 @@ fn corpus_verdicts_agree_with_reference_oracle() {
     let machine = machines::paper48();
     for entry in fs_core::CORPUS {
         let kernel = fs_core::parse_kernel(entry.source).unwrap();
-        let source_chunk = kernel.nest.parallel.schedule.chunk();
+        // Chunk 1, chunk 4 and the kernel's bundled chunk.
+        let mut chunks = vec![1, 4, kernel.nest.parallel.schedule.chunk()];
+        chunks.sort_unstable();
+        chunks.dedup();
         for threads in [2u32, 8] {
-            for chunk in [source_chunk, 4] {
+            for &chunk in &chunks {
                 let k = kernel_at_chunk(&kernel, chunk);
                 let report = try_lint(&k, &machine, threads).unwrap();
                 let cases = simulated_cases(&k, threads);
