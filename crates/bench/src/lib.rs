@@ -321,12 +321,11 @@ pub fn enable_sim_counters() {
 pub fn sim_summary() -> String {
     let snap = fs_core::obs::snapshot();
     format!(
-        "sim: {} replays ({} dense, {} reference, {} fallbacks), {} points on {} workers, \
+        "sim: {} replays ({} dense, {} reference), {} points on {} workers, \
          {} accesses, {} coherence misses ({} FS, {} TS)",
         snap.counter("sim.replays"),
         snap.counter("sim.dispatch_dense"),
         snap.counter("sim.dispatch_reference"),
-        snap.counter("sim.dense_limit_fallbacks"),
         snap.counter("sim.points_evaluated"),
         snap.gauge("sim.workers").max(1),
         snap.counter("sim.accesses"),

@@ -16,11 +16,12 @@
 //!
 //! Array bases are contiguous and line-aligned starting at `align`
 //! ([`loop_ir::Kernel::array_bases`]), so every line inside the kernel's
-//! footprint *is* its own dense id (identity mapping + bounds check);
-//! halo reads past the last array and wrapped negative addresses take the
-//! hash-map overflow region of [`LineInterner`]. Cache *set* selection
-//! stays a function of the original line number, exactly as the reference
-//! path computes it.
+//! footprint, up to the interner's identity cap, *is* its own dense id
+//! (identity mapping + bounds check); lines past the cap, halo reads past
+//! the last array and wrapped negative addresses take the hash-map
+//! overflow region of [`LineInterner`], and the tables grow for them.
+//! Cache *set* selection stays a function of the original line number,
+//! exactly as the reference path computes it.
 //!
 //! The mirror is behavioral, not just statistical: the per-set LRU
 //! ([`DenseSetLru`] vs [`crate::lru::LruCache`]) is proptested
@@ -39,24 +40,23 @@ use machine::cache::{CacheHierarchy, CacheLevel};
 use machine::{CoherenceParams, MachineConfig};
 use std::collections::HashMap;
 
-/// Largest line footprint the dense tables are sized for (128 MiB of
-/// modeled data — covers every bundled experiment kernel, including the
-/// scaled linreg whose per-thread inner arrays are largest at 2 threads,
-/// where they span ~70 MiB).
-/// Beyond this the dispatcher ([`crate::sim::simulate_kernel`]) falls
-/// back to the reference path. Only the directory/bitset/attribution
-/// tables (~26 bytes per line) are allocated at the footprint upfront;
-/// each cache's `u32` key index grows lazily to the highest line id that
-/// core actually touches.
-pub(crate) const DENSE_LINE_LIMIT: u64 = 1 << 21;
+/// Most lines a [`LineInterner`] maps to themselves: 4 Mi lines, 256 MiB
+/// of modeled arrays at 64-byte lines. A memory bound, not an engine
+/// switch: both fast engines size their id-indexed tables to the identity
+/// region up front (~26 bytes per line in this replay; 24 per line, plus a
+/// 4-byte key index per thread, in the FS model's dense walk), so the cap
+/// bounds what a large declared footprint can reserve. The tables are
+/// zeroed allocations, so only the pages of touched lines are committed.
+/// Lines past the cap take overflow ids like any other out-of-region line,
+/// and the tables grow as those lines are touched.
+pub(crate) const IDENTITY_LINE_CAP: u64 = 1 << 22;
 
 /// Maps cache-line numbers to contiguous `u32` ids, for the dense tables
 /// of both fast engines: this replay and the FS model's dense walk
-/// (`cost_model::fs`). Lines inside the kernel's array footprint
-/// (`[0, dense_lines)`, per [`loop_ir::Kernel::line_footprint`]) are the
-/// identity mapping; anything else — adjacent-line prefetches past the
-/// last array, halo reads, negative addresses wrapped by the `as u64`
-/// cast — is assigned the next id from a hash-map overflow region.
+/// (`cost_model::fs`). Lines below the identity region are their own ids;
+/// anything else — lines past the 4 Mi-line identity cap, adjacent-line
+/// prefetches past the last array, negative addresses wrapped by the
+/// `as u64` cast — is assigned the next id from a hash-map overflow region.
 pub struct LineInterner {
     dense_lines: u64,
     overflow: HashMap<u64, u32>,
@@ -65,9 +65,14 @@ pub struct LineInterner {
 }
 
 impl LineInterner {
-    pub fn new(dense_lines: u64) -> Self {
+    /// The interner for a kernel whose arrays span `footprint_lines`
+    /// (per [`loop_ir::Kernel::line_footprint`]): the identity region is
+    /// the footprint plus 2 lines of slack, since halo reads one element
+    /// past the last array still land in its line-aligned padding, capped
+    /// at 4 Mi lines (a memory bound: the tables are sized to the region).
+    pub fn new(footprint_lines: u64) -> Self {
         LineInterner {
-            dense_lines,
+            dense_lines: footprint_lines.saturating_add(2).min(IDENTITY_LINE_CAP),
             overflow: HashMap::new(),
             overflow_lines: Vec::new(),
         }
@@ -257,9 +262,9 @@ pub struct DenseMultiCoreSim {
 }
 
 impl DenseMultiCoreSim {
-    /// `footprint_lines` bounds the dense id region (see
-    /// [`crate::sim::SimPrepared::footprint_lines`]); lines at or past it
-    /// fall into the interner's overflow map.
+    /// `footprint_lines` sizes the identity id region (see
+    /// [`crate::sim::SimPrepared::footprint_lines`] and [`LineInterner::new`]);
+    /// lines past it fall into the interner's overflow map.
     pub fn new(machine: &MachineConfig, num_threads: u32, footprint_lines: u64) -> Self {
         assert!(num_threads >= 1);
         assert!(
@@ -275,7 +280,8 @@ impl DenseMultiCoreSim {
         let shared_level = h.levels.iter().find(|l| l.shared);
         let cluster_size = h.shared_cluster_size.max(1);
         let num_clusters = num_threads.div_ceil(cluster_size);
-        let capacity = footprint_lines as usize + 2;
+        let interner = LineInterner::new(footprint_lines);
+        let capacity = interner.slots();
         let cores = (0..num_threads)
             .map(|_| DenseCore {
                 l1: DenseSetCache::new(private[0], h.line_size),
@@ -291,7 +297,7 @@ impl DenseMultiCoreSim {
             .unwrap_or_default();
         DenseMultiCoreSim {
             line_size: h.line_size,
-            interner: LineInterner::new(footprint_lines),
+            interner,
             cores,
             shared,
             cluster_size,

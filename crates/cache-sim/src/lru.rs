@@ -58,10 +58,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
     }
@@ -187,35 +183,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.free.push(idx);
         Some(node.value)
     }
-
-    /// Keys from most- to least-recently-used.
-    pub fn iter_mru(&self) -> LruIter<'_, K, V> {
-        LruIter {
-            cache: self,
-            cur: self.head,
-        }
-    }
-}
-
-/// Iterator over `(key, value)` pairs from MRU to LRU.
-pub struct LruIter<'a, K, V> {
-    cache: &'a LruCache<K, V>,
-    cur: u32,
-}
-
-impl<'a, K: Eq + Hash + Clone, V> Iterator for LruIter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let n = self.cache.slab[self.cur as usize]
-            .as_ref()
-            .expect("linked slot is live");
-        self.cur = n.next;
-        Some((&n.key, &n.value))
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -226,6 +193,10 @@ struct DenseNode<V> {
     next: u32,
     value: V,
 }
+
+/// The absent slot of a [`DenseSetLru`]: zero, so that a fresh index is a
+/// zeroed allocation (slot 0 holds no entry).
+const SLOT_NIL: u32 = 0;
 
 /// A set-associative LRU over *dense* `u32` keys: the `HashMap` of
 /// [`LruCache`] is replaced by one flat `Vec<u32>` index shared by all
@@ -240,7 +211,9 @@ struct DenseNode<V> {
 #[derive(Debug, Clone)]
 pub struct DenseSetLru<V> {
     ways: usize,
-    /// key -> slab slot (`NIL` when absent). Grown by [`Self::ensure_key`].
+    /// key -> slab slot (`SLOT_NIL` when absent). Grown by [`Self::ensure_key`].
+    /// All-zero when fresh, so the allocator hands out untouched zero pages
+    /// and a large index costs memory only where keys are touched.
     index: Vec<u32>,
     nodes: Vec<DenseNode<V>>,
     free: Vec<u32>,
@@ -261,11 +234,18 @@ impl<V: Default> DenseSetLru<V> {
         assert!(ways > 0, "LRU capacity must be positive");
         DenseSetLru {
             ways,
-            index: vec![NIL; key_capacity],
-            nodes: Vec::new(),
+            index: vec![SLOT_NIL; key_capacity],
+            // Slot 0 is `SLOT_NIL`: a placeholder that is never linked.
+            nodes: vec![DenseNode {
+                key: 0,
+                set: 0,
+                prev: SLOT_NIL,
+                next: SLOT_NIL,
+                value: V::default(),
+            }],
             free: Vec::new(),
-            heads: vec![NIL; num_sets],
-            tails: vec![NIL; num_sets],
+            heads: vec![SLOT_NIL; num_sets],
+            tails: vec![SLOT_NIL; num_sets],
             lens: vec![0; num_sets],
         }
     }
@@ -282,7 +262,7 @@ impl<V: Default> DenseSetLru<V> {
     #[inline]
     pub fn ensure_key(&mut self, key: u32) {
         if key as usize >= self.index.len() {
-            self.index.resize(key as usize + 1, NIL);
+            self.index.resize(key as usize + 1, SLOT_NIL);
         }
     }
 
@@ -291,7 +271,7 @@ impl<V: Default> DenseSetLru<V> {
     #[inline]
     pub fn peek(&self, key: u32) -> Option<&V> {
         match self.index.get(key as usize) {
-            Some(&slot) if slot != NIL => Some(&self.nodes[slot as usize].value),
+            Some(&slot) if slot != SLOT_NIL => Some(&self.nodes[slot as usize].value),
             _ => None,
         }
     }
@@ -301,12 +281,12 @@ impl<V: Default> DenseSetLru<V> {
             let n = &self.nodes[slot as usize];
             (n.set as usize, n.prev, n.next)
         };
-        if prev != NIL {
+        if prev != SLOT_NIL {
             self.nodes[prev as usize].next = next;
         } else {
             self.heads[set] = next;
         }
-        if next != NIL {
+        if next != SLOT_NIL {
             self.nodes[next as usize].prev = prev;
         } else {
             self.tails[set] = prev;
@@ -317,10 +297,10 @@ impl<V: Default> DenseSetLru<V> {
         let old_head = self.heads[set];
         {
             let n = &mut self.nodes[slot as usize];
-            n.prev = NIL;
+            n.prev = SLOT_NIL;
             n.next = old_head;
         }
-        if old_head != NIL {
+        if old_head != SLOT_NIL {
             self.nodes[old_head as usize].prev = slot;
         } else {
             self.tails[set] = slot;
@@ -333,7 +313,7 @@ impl<V: Default> DenseSetLru<V> {
     #[inline]
     pub fn touch(&mut self, key: u32) -> Option<&mut V> {
         let slot = *self.index.get(key as usize)?;
-        if slot == NIL {
+        if slot == SLOT_NIL {
             return None;
         }
         let set = self.nodes[slot as usize].set as usize;
@@ -351,7 +331,7 @@ impl<V: Default> DenseSetLru<V> {
     pub fn insert(&mut self, set: usize, key: u32, value: V) -> Option<(u32, V)> {
         self.ensure_key(key);
         let slot = self.index[key as usize];
-        if slot != NIL {
+        if slot != SLOT_NIL {
             debug_assert_eq!(self.nodes[slot as usize].set as usize, set);
             self.nodes[slot as usize].value = value;
             if self.heads[set] != slot {
@@ -365,7 +345,7 @@ impl<V: Default> DenseSetLru<V> {
             let victim = self.tails[set];
             self.detach(victim);
             let n = &mut self.nodes[victim as usize];
-            self.index[n.key as usize] = NIL;
+            self.index[n.key as usize] = SLOT_NIL;
             evicted = Some((n.key, std::mem::take(&mut n.value)));
             self.free.push(victim);
             self.lens[set] -= 1;
@@ -373,8 +353,8 @@ impl<V: Default> DenseSetLru<V> {
         let node = DenseNode {
             key,
             set: set as u32,
-            prev: NIL,
-            next: NIL,
+            prev: SLOT_NIL,
+            next: SLOT_NIL,
             value,
         };
         let slot = if let Some(s) = self.free.pop() {
@@ -395,12 +375,12 @@ impl<V: Default> DenseSetLru<V> {
     /// upgrades and inclusive evictions).
     pub fn remove(&mut self, key: u32) -> Option<V> {
         let slot = *self.index.get(key as usize)?;
-        if slot == NIL {
+        if slot == SLOT_NIL {
             return None;
         }
         self.detach(slot);
         let set = self.nodes[slot as usize].set as usize;
-        self.index[key as usize] = NIL;
+        self.index[key as usize] = SLOT_NIL;
         self.free.push(slot);
         self.lens[set] -= 1;
         Some(std::mem::take(&mut self.nodes[slot as usize].value))
@@ -412,12 +392,11 @@ impl<V: Default> DenseSetLru<V> {
     }
 
     /// `(key, value)` pairs resident in `set`, from most- to
-    /// least-recently used — the per-set counterpart of
-    /// [`LruCache::iter_mru`].
+    /// least-recently used.
     pub fn iter_set_mru(&self, set: usize) -> impl Iterator<Item = (u32, &V)> + '_ {
         let mut cur = self.heads[set];
         std::iter::from_fn(move || {
-            if cur == NIL {
+            if cur == SLOT_NIL {
                 return None;
             }
             let n = &self.nodes[cur as usize];
@@ -445,11 +424,11 @@ impl<V: Default> DenseSetLru<V> {
     /// becomes `rename(k)`, keeping its set, value and recency. Returns
     /// false, with the cache untouched, when `rename` rejects any resident
     /// key. The renamed keys must be distinct.
-    pub fn rename_keys(&mut self, rename: impl Fn(u32) -> Option<u32>) -> bool {
+    pub fn rename_keys(&mut self, mut rename: impl FnMut(u32) -> Option<u32>) -> bool {
         let mut moves: Vec<(u32, u32)> = Vec::new();
         for set in 0..self.num_sets() {
             let mut cur = self.heads[set];
-            while cur != NIL {
+            while cur != SLOT_NIL {
                 let n = &self.nodes[cur as usize];
                 let Some(key) = rename(n.key) else {
                     return false;
@@ -459,11 +438,11 @@ impl<V: Default> DenseSetLru<V> {
             }
         }
         for &(slot, _) in &moves {
-            self.index[self.nodes[slot as usize].key as usize] = NIL;
+            self.index[self.nodes[slot as usize].key as usize] = SLOT_NIL;
         }
         for (slot, key) in moves {
             self.ensure_key(key);
-            assert_eq!(self.index[key as usize], NIL, "renamed keys collide");
+            assert_eq!(self.index[key as usize], SLOT_NIL, "renamed keys collide");
             self.index[key as usize] = slot;
             self.nodes[slot as usize].key = key;
         }
@@ -508,7 +487,7 @@ impl<V> DenseSetLists<V> {
     pub fn iter_set_mru(&self, set: usize) -> impl Iterator<Item = (u32, &V)> + '_ {
         let mut cur = self.heads[set];
         std::iter::from_fn(move || {
-            if cur == NIL {
+            if cur == SLOT_NIL {
                 return None;
             }
             let n = &self.nodes[cur as usize];
@@ -562,17 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_mru_order() {
-        let mut c: LruCache<u32, ()> = LruCache::new(4);
-        for k in 1..=4 {
-            c.insert(k, ());
-        }
-        c.touch(&2);
-        let keys: Vec<u32> = c.iter_mru().map(|(&k, _)| k).collect();
-        assert_eq!(keys, vec![2, 4, 3, 1]);
-    }
-
-    #[test]
     fn pop_lru_empties_cache() {
         let mut c: LruCache<u32, u32> = LruCache::new(2);
         assert!(c.pop_lru().is_none());
@@ -597,7 +565,9 @@ mod tests {
             assert!(c.len() <= 16);
         }
         // Every key reachable through the map must be reachable via the list.
-        assert_eq!(c.iter_mru().count(), c.len());
+        let len = c.len();
+        assert_eq!(std::iter::from_fn(|| c.pop_lru()).count(), len);
+        assert!(c.is_empty());
     }
 
     #[test]

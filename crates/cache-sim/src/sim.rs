@@ -11,11 +11,12 @@
 //!
 //! Both produce bit-identical [`SimStats`] (differential tests in
 //! `tests/sim_path_equivalence.rs`, and the paper's Tables I–III kernels
-//! at full size in `crates/bench/tests/paper_tables.rs`);
-//! kernels whose footprint exceeds the dense sizing limit silently fall
-//! back to the reference path.
+//! at full size in `crates/bench/tests/paper_tables.rs`) at any
+//! footprint: lines past the dense tables' identity region take overflow
+//! ids, and the tables grow for them. The reference path runs only when
+//! requested.
 
-use crate::dense::{DenseMultiCoreSim, DENSE_LINE_LIMIT};
+use crate::dense::DenseMultiCoreSim;
 use crate::mesi::MultiCoreSim;
 use crate::stats::SimStats;
 use crate::trace::{Interleave, TraceGen};
@@ -104,17 +105,25 @@ impl SimPrepared {
     }
 
     /// Cache lines spanned by the kernel's arrays under the aligned base
-    /// layout (the dense id range of the optimized path).
+    /// layout (sizing the identity id region of the optimized path).
     pub fn footprint_lines(&self) -> u64 {
         self.footprint_lines
     }
 }
+
+/// Widest team either replay can represent: the directory's sharer sets
+/// are 64-bit core masks.
+const MAX_SIM_THREADS: u32 = 64;
 
 /// Replay `kernel`'s memory trace on `machine` and return the statistics.
 ///
 /// This is the reproduction's stand-in for *running* the kernel on the
 /// paper's 48-core machine: the returned [`SimStats`] carry per-thread cycle
 /// counts whose chunk-size sensitivity is the "measured FS effect".
+///
+/// # Panics
+/// Panics if `opts.num_threads` exceeds 64, the width of the directory's
+/// sharer masks.
 pub fn simulate_kernel(kernel: &Kernel, machine: &MachineConfig, opts: SimOptions) -> SimStats {
     let prepared = SimPrepared::new(kernel, machine.line_size());
     simulate_kernel_prepared(kernel, machine, opts, &prepared)
@@ -128,6 +137,14 @@ pub fn simulate_kernel_prepared(
     opts: SimOptions,
     prepared: &SimPrepared,
 ) -> SimStats {
+    assert!(
+        opts.num_threads <= MAX_SIM_THREADS,
+        "{}",
+        loop_ir::ValidateError::TeamTooLarge {
+            requested: opts.num_threads,
+            max: MAX_SIM_THREADS,
+        }
+    );
     let _span = fs_obs::span("sim.replay");
     // Clock reads only when the registry is live: the disabled path stays branch-only.
     let t_replay = fs_obs::counters_enabled().then(std::time::Instant::now);
@@ -137,10 +154,7 @@ pub fn simulate_kernel_prepared(
         prepared.bases.clone(),
         opts.num_threads,
     );
-    let use_dense = opts.path == SimPath::Optimized
-        && prepared.footprint_lines <= DENSE_LINE_LIMIT
-        && opts.num_threads <= 64;
-    let stats = if use_dense {
+    let stats = if opts.path == SimPath::Optimized {
         fs_obs::counters::SIM_DISPATCH_DENSE.inc();
         let mut sim = DenseMultiCoreSim::new(machine, opts.num_threads, prepared.footprint_lines);
         if opts.prefetch {
@@ -151,9 +165,6 @@ pub fn simulate_kernel_prepared(
         });
         sim.into_stats()
     } else {
-        if opts.path == SimPath::Optimized {
-            fs_obs::counters::SIM_DENSE_FALLBACKS.inc();
-        }
         fs_obs::counters::SIM_DISPATCH_REFERENCE.inc();
         let mut sim = MultiCoreSim::new(machine, opts.num_threads);
         if opts.prefetch {
@@ -309,13 +320,15 @@ mod tests {
     }
 
     #[test]
-    fn oversized_footprint_falls_back_to_reference() {
-        // A footprint past DENSE_LINE_LIMIT must still simulate (on the
-        // reference path) and agree on both requested paths. The kernel
-        // touches a huge array sparsely: big footprint, few accesses.
+    fn oversized_footprint_replays_dense_with_stats_equal_to_the_reference() {
+        // A footprint past the interner's identity cap replays on the dense
+        // tables, its far lines on overflow ids, with the reference's
+        // stats. The kernel touches a huge array sparsely: big footprint,
+        // few accesses.
+        use crate::dense::IDENTITY_LINE_CAP;
         use loop_ir::{ArrayRef, Expr, KernelBuilder, ScalarType, Schedule, Stmt};
         let m = presets::tiny_test();
-        let stride = 1 << 19;
+        let stride = 1 << 20;
         let mut b = KernelBuilder::new("sparse_touch");
         let i = b.loop_var("i");
         let a = b.array("A", &[64 * stride as u64], ScalarType::F64);
@@ -326,10 +339,20 @@ mod tests {
         ));
         let k = b.build();
         let prepared = SimPrepared::new(&k, m.line_size());
-        assert!(prepared.footprint_lines() > DENSE_LINE_LIMIT);
+        assert!(prepared.footprint_lines() > IDENTITY_LINE_CAP);
         let opts = SimOptions::new(2);
         let optimized = simulate_kernel(&k, &m, opts.with_path(SimPath::Optimized));
         let reference = simulate_kernel(&k, &m, opts.with_path(SimPath::Reference));
         assert_eq!(optimized, reference);
+    }
+
+    #[test]
+    #[should_panic(expected = "team size 65 exceeds the modelable maximum of 64 threads")]
+    fn team_of_65_panics_in_the_replay() {
+        let _ = simulate_kernel(
+            &kernels::stencil1d(258, 1),
+            &presets::paper48(),
+            SimOptions::new(65),
+        );
     }
 }

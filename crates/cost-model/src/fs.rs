@@ -28,7 +28,8 @@
 //!   affine address into per-loop-variable byte deltas
 //!   ([`loop_ir::CompiledPlan`]) and interns cache lines of the kernel's
 //!   array footprint to contiguous dense ids, so the per-access hot path is
-//!   a handful of flat array indexes (see `docs/HOTPATH.md`).
+//!   a handful of flat array indexes (see `docs/HOTPATH.md`). It takes any
+//!   footprint: lines past the interner's identity region get overflow ids.
 //! * [`FsPath::Reference`] is the direct transcription of the paper's
 //!   algorithm over hash maps. It is the executable specification: the
 //!   optimized path must produce *identical* counts, which the equivalence
@@ -64,11 +65,6 @@ use std::collections::HashMap;
 /// structured error instead.
 pub const MAX_MODEL_THREADS: u32 = 64;
 
-/// Dense-table ceiling: kernels whose array footprint exceeds this many
-/// cache lines (4 Mi lines = 256 MiB of arrays at 64-byte lines) fall back
-/// to the reference path rather than allocating per-thread flat tables.
-pub(crate) const DENSE_LINE_LIMIT: u64 = 1 << 22;
-
 /// Which FS-model engine to run. The engines compute the same model, so a
 /// full-loop run ([`run_fs_model`]) gives identical counts on every path.
 /// The path is still not a pure speed knob: [`crate::predict_fs`] returns
@@ -76,9 +72,8 @@ pub(crate) const DENSE_LINE_LIMIT: u64 = 1 << 22;
 /// fit on the other two, so a predicted result depends on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FsPath {
-    /// Strength-reduced address streams + dense line tables (default).
-    /// Kernels whose footprint exceeds the dense-table limit run on
-    /// [`FsPath::Reference`] instead.
+    /// Strength-reduced address streams + dense line tables (default), at
+    /// any footprint.
     #[default]
     Optimized,
     /// The hash-map transcription of the paper's algorithm, kept as the
@@ -155,7 +150,9 @@ pub struct FsModelConfig {
     /// Ablation: clear the remote Modified mark when a conflict is
     /// detected (approximating the invalidation a real protocol performs).
     pub invalidate_on_detect: bool,
-    /// Engine to run (identical counts either way).
+    /// Engine to run. A full run ([`run_fs_model`]) gives identical counts
+    /// on every path; a prediction ([`crate::predict_fs`]) does not, since
+    /// it is exact only on [`FsPath::Symbolic`] (see [`FsPath`]).
     pub path: FsPath,
 }
 
@@ -201,11 +198,10 @@ pub(crate) struct LineInfo {
 
 /// One thread's cache state: a fully-associative LRU stack (`sets == 1`,
 /// the paper's model) or a set-associative split of the same capacity.
-/// Used by the reference and symbolic paths; the optimized path holds the
-/// same geometry in a [`DenseSetLru`].
-#[derive(Clone)]
-pub(crate) struct CacheState {
-    pub(crate) sets: Vec<LruCache<u64, LineInfo>>,
+/// Used by the reference path; the optimized path holds the same geometry
+/// in a [`DenseSetLru`].
+struct CacheState {
+    sets: Vec<LruCache<u64, LineInfo>>,
     /// `sets.len() - 1` when the set count is a power of two, so the hot
     /// `set_of` is a mask instead of a division.
     set_mask: Option<u64>,
@@ -221,7 +217,7 @@ pub(crate) fn set_geometry(stack_lines: usize, stack_sets: u32) -> (usize, usize
 }
 
 impl CacheState {
-    pub(crate) fn new(total_lines: usize, num_sets: u32) -> Self {
+    fn new(total_lines: usize, num_sets: u32) -> Self {
         let (num_sets, ways) = set_geometry(total_lines, num_sets);
         CacheState {
             sets: (0..num_sets).map(|_| LruCache::new(ways)).collect(),
@@ -255,35 +251,33 @@ impl CacheState {
     }
 }
 
-/// The paper's per-access state machine over hash maps — the exact
-/// semantics both the reference walk and the symbolic driver execute. One
-/// [`RefMachine::access`] performs steps 3 + 4 of the model for a single
-/// CLOL element: the 1-to-All comparison, physical event counting, and the
-/// LRU cache-state insertion.
-#[derive(Clone)]
-pub(crate) struct RefMachine {
-    pub(crate) num_threads: usize,
+/// The paper's per-access state machine over hash maps, run by the
+/// reference walk. One [`RefMachine::access`] performs steps 3 + 4 of the
+/// model for a single CLOL element: the 1-to-All comparison, physical event
+/// counting, and the LRU cache-state insertion.
+struct RefMachine {
+    num_threads: usize,
     line_size: u64,
     count_true_sharing: bool,
     invalidate_on_detect: bool,
     /// Per-thread cache states (step 3's LRU stacks).
-    pub(crate) states: Vec<CacheState>,
+    states: Vec<CacheState>,
     /// Global writer index: line -> bitmask of threads whose cache state
     /// currently holds the line with `written == true`. This is an O(1)
     /// implementation of the paper's 1-to-All comparison (Eq. 4): popcount
     /// of the mask minus the inserting thread's own bit.
-    pub(crate) writers: HashMap<u64, u64>,
+    writers: HashMap<u64, u64>,
     /// Physical writer index for *event* counting: same key, but a detected
     /// conflict clears the remote bits (the conflicting access invalidates /
     /// downgrades remote copies in a real protocol), so one burst of
     /// accesses to a contended line costs one event, like one coherence
     /// miss.
-    pub(crate) phys_writers: HashMap<u64, u64>,
-    pub(crate) evictions: u64,
+    phys_writers: HashMap<u64, u64>,
+    evictions: u64,
 }
 
 impl RefMachine {
-    pub(crate) fn new(cfg: &FsModelConfig) -> Self {
+    fn new(cfg: &FsModelConfig) -> Self {
         let num_threads = cfg.num_threads.max(1) as usize;
         RefMachine {
             num_threads,
@@ -302,14 +296,7 @@ impl RefMachine {
     /// Process one access by thread `t` at byte address `addr`, accumulating
     /// counts into `res`.
     #[allow(clippy::needless_range_loop)]
-    pub(crate) fn access(
-        &mut self,
-        t: usize,
-        addr: u64,
-        size: u64,
-        is_write: bool,
-        res: &mut FsModelResult,
-    ) {
+    fn access(&mut self, t: usize, addr: u64, size: u64, is_write: bool, res: &mut FsModelResult) {
         let num_threads = self.num_threads;
         let count_true_sharing = self.count_true_sharing;
         let invalidate_on_detect = self.invalidate_on_detect;
@@ -561,9 +548,7 @@ pub fn run_fs_model(kernel: &Kernel, cfg: &FsModelConfig) -> FsModelResult {
 /// caller. Sweeps over chunk sizes and team sizes extract these once per
 /// kernel×line-size and reuse them for every grid point.
 ///
-/// Dispatches on [`FsModelConfig::path`]; the optimized path additionally
-/// falls back to the reference implementation when the kernel's line
-/// footprint is too large for dense tables.
+/// Dispatches on [`FsModelConfig::path`].
 pub fn run_fs_model_prepared(
     kernel: &Kernel,
     cfg: &FsModelConfig,
@@ -574,9 +559,8 @@ pub fn run_fs_model_prepared(
 }
 
 /// [`run_fs_model_prepared`], also returning the engine that actually ran:
-/// the requested [`FsModelConfig::path`] unless it fell back (symbolic
-/// without a closed form runs dense, dense past the line limit runs
-/// reference).
+/// the requested [`FsModelConfig::path`], except that a symbolic run
+/// without a closed form runs dense.
 pub(crate) fn dispatch_fs_model(
     kernel: &Kernel,
     cfg: &FsModelConfig,
@@ -597,9 +581,16 @@ pub(crate) fn dispatch_fs_model(
             run_fs_model_reference(kernel, cfg, plan, bases),
             FsPath::Reference,
         ),
-        FsPath::Symbolic => try_symbolic(kernel, cfg, plan, bases, true)
-            .unwrap_or_else(|| run_dense_or_reference(kernel, cfg, plan, bases)),
-        FsPath::Optimized => run_dense_or_reference(kernel, cfg, plan, bases),
+        FsPath::Symbolic => try_symbolic(kernel, cfg, plan, bases, true).unwrap_or_else(|| {
+            (
+                run_fs_model_optimized(kernel, cfg, plan, bases),
+                FsPath::Optimized,
+            )
+        }),
+        FsPath::Optimized => (
+            run_fs_model_optimized(kernel, cfg, plan, bases),
+            FsPath::Optimized,
+        ),
     };
     record_model_run(&result, engine);
     if let Some(t) = t_run {
@@ -609,8 +600,8 @@ pub(crate) fn dispatch_fs_model(
 }
 
 /// The symbolic path's exact answer and the engine that gave it: the
-/// closed form when one verifies, else the dense walk (or reference, past
-/// the dense-table limit), counted in `fs.symbolic_direct`. A decline —
+/// closed form when one verifies, else the dense walk, counted in
+/// `fs.symbolic_direct`. A decline —
 /// outside the decidable fragment or its work budget — is counted in
 /// `fs.symbolic_fallbacks` and returns `None`, unless `finish_declined` is
 /// set and the attempt had started: then the attempt finishes the run in
@@ -624,13 +615,13 @@ pub(crate) fn try_symbolic(
 ) -> Option<(FsModelResult, FsPath)> {
     match crate::symbolic::run_symbolic(kernel, cfg, plan, bases, finish_declined) {
         SymbolicRun::ClosedForm(r) => Some((r, FsPath::Symbolic)),
-        SymbolicRun::Direct(r, engine) => {
+        SymbolicRun::Direct(r) => {
             fs_obs::counters::FS_SYMBOLIC_DIRECT.inc();
-            Some((r, engine))
+            Some((r, FsPath::Optimized))
         }
         SymbolicRun::Declined(finished) => {
             fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
-            finished
+            finished.map(|r| (r, FsPath::Optimized))
         }
     }
 }
@@ -652,31 +643,6 @@ pub(crate) fn record_model_run(result: &FsModelResult, engine: FsPath) {
         fs_obs::counters::FS_EVENTS.add(result.fs_events);
         fs_obs::counters::FS_STEPS.add(result.steps);
         fs_obs::counters::FS_ITERATIONS.add(result.iterations);
-    }
-}
-
-/// The [`FsPath::Optimized`] dispatch: dense tables when the footprint
-/// fits, reference otherwise. Also the landing site of symbolic declines
-/// that simulated nothing, and of the symbolic engine's hand-offs of runs
-/// too small for a window or without a period plan.
-pub(crate) fn run_dense_or_reference(
-    kernel: &Kernel,
-    cfg: &FsModelConfig,
-    plan: &AccessPlan,
-    bases: &[u64],
-) -> (FsModelResult, FsPath) {
-    let footprint_lines = kernel.line_footprint(cfg.line_size);
-    if footprint_lines > DENSE_LINE_LIMIT {
-        fs_obs::counters::FS_DENSE_FALLBACKS.inc();
-        (
-            run_fs_model_reference(kernel, cfg, plan, bases),
-            FsPath::Reference,
-        )
-    } else {
-        (
-            run_fs_model_optimized(kernel, cfg, plan, bases, footprint_lines),
-            FsPath::Optimized,
-        )
     }
 }
 
@@ -766,7 +732,9 @@ fn run_fs_model_reference(
 ///   order bit-identical to [`CacheState`].
 ///
 /// Two drivers run it: the dense walk ([`run_fs_model_optimized`]) and the
-/// symbolic engine's period windows ([`crate::symbolic`]).
+/// symbolic engine's period windows ([`crate::symbolic`]). Lines past the
+/// interner's identity region take overflow ids, and the id-indexed tables
+/// grow for them, so any footprint fits.
 pub(crate) struct DenseMachine {
     line_size: u64,
     granules: u64,
@@ -774,7 +742,7 @@ pub(crate) struct DenseMachine {
     set_mask: Option<u64>,
     count_true_sharing: bool,
     invalidate_on_detect: bool,
-    interner: LineInterner,
+    pub(crate) interner: LineInterner,
     /// Writer index by line id (see [`RefMachine::writers`]).
     pub(crate) writers: Vec<u64>,
     /// Physical writer index by line id (see [`RefMachine::phys_writers`]).
@@ -793,7 +761,7 @@ impl DenseMachine {
     pub(crate) fn new(cfg: &FsModelConfig, footprint_lines: u64) -> Self {
         let num_threads = cfg.num_threads.max(1) as usize;
         let (num_sets, ways) = set_geometry(cfg.stack_lines, cfg.stack_sets);
-        let interner = LineInterner::new(Self::identity_lines(footprint_lines));
+        let interner = LineInterner::new(footprint_lines);
         let table_len = interner.slots();
         DenseMachine {
             line_size: cfg.line_size,
@@ -812,14 +780,6 @@ impl DenseMachine {
             evictions: 0,
             mismatch_hint: std::cell::Cell::new(0),
         }
-    }
-
-    /// Lines below this are their own ids in tables for a kernel whose
-    /// array footprint spans `footprint_lines`: +2 lines of slack, since
-    /// halo reads one element past the last array still land in its
-    /// line-aligned padding.
-    pub(crate) fn identity_lines(footprint_lines: u64) -> u64 {
-        footprint_lines + 2
     }
 
     /// Process one access by thread `t` at byte address `addr`, accumulating
@@ -855,10 +815,8 @@ impl DenseMachine {
         let id = self.interner.id_of(line);
         let idx = id as usize;
         if idx >= self.writers.len() {
-            // A new overflow line: grow every id-indexed table.
-            self.writers.resize(idx + 1, 0);
-            self.phys_writers.resize(idx + 1, 0);
-            self.line_cases.resize(idx + 1, 0);
+            // A new overflow line.
+            self.grow_tables(idx + 1);
         }
         let states = &mut self.states;
 
@@ -959,6 +917,13 @@ impl DenseMachine {
         }
     }
 
+    /// Grow every id-indexed table to `len` ids.
+    pub(crate) fn grow_tables(&mut self, len: usize) {
+        self.writers.resize(len, 0);
+        self.phys_writers.resize(len, 0);
+        self.line_cases.resize(len, 0);
+    }
+
     /// Move the per-line FS cases accumulated since the last flush into
     /// `res.per_line_cases`.
     pub(crate) fn flush_line_cases(&mut self, res: &mut FsModelResult) {
@@ -984,18 +949,19 @@ impl DenseMachine {
 /// The strength-reduced dense-table implementation of the same model:
 /// addresses come from a [`StreamCursor`] advanced by constant per-loop-
 /// variable byte deltas ([`AccessPlan::compile`]), and steps 3 + 4 run on a
-/// [`DenseMachine`].
-fn run_fs_model_optimized(
+/// [`DenseMachine`]. Also the landing site of symbolic declines that
+/// simulated nothing, and of the symbolic engine's hand-offs of runs too
+/// small for a window or without a period plan.
+pub(crate) fn run_fs_model_optimized(
     kernel: &Kernel,
     cfg: &FsModelConfig,
     plan: &AccessPlan,
     bases: &[u64],
-    footprint_lines: u64,
 ) -> FsModelResult {
     let _span = fs_obs::span("fs.dense");
     let setup_span = fs_obs::span("fs.setup");
     let num_threads = cfg.num_threads.max(1) as usize;
-    let mut machine = DenseMachine::new(cfg, footprint_lines);
+    let mut machine = DenseMachine::new(cfg, kernel.line_footprint(cfg.line_size));
     let mut result = FsModelResult::empty(num_threads);
 
     let mut walker = LockstepWalker::new(kernel, num_threads as u64);

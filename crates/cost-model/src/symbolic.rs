@@ -39,18 +39,16 @@
 //! several changing outer loops), go straight to the dense walk. A run
 //! declines when it is outside the fragment, or when the work left after a
 //! failed attempt exceeds `DIRECT_WORK_LIMIT`, exactly as `fslint` falls
-//! back to Unknown outside its fragment. Past the dense-table limit the
-//! windows run on `RefMachine` instead, through the same window logic.
+//! back to Unknown outside its fragment. The windows take any footprint:
+//! the shift maps each resident id to its line, shifts the line and
+//! interns the result, so region lines past the interner's identity
+//! region shift like any other.
 
-use crate::fs::{
-    run_dense_or_reference, set_geometry, DenseMachine, FsModelConfig, FsModelResult, FsPath,
-    LineInfo, RefMachine, DENSE_LINE_LIMIT,
-};
+use crate::fs::{run_fs_model_optimized, set_geometry, DenseMachine, FsModelConfig, FsModelResult};
 use crate::lint::gcd;
-use cache_sim::lru::{DenseSetLists, LruCache};
+use cache_sim::lru::DenseSetLists;
 use loop_ir::schedule::ChunkSchedule;
 use loop_ir::{AccessPlan, CompiledPlan, Kernel, StreamCursor};
-use std::collections::HashMap;
 
 /// Ceiling on `steps × threads × accesses` the symbolic path answers
 /// without a closed form: it bounds the windowed warm-up, and a run whose
@@ -83,32 +81,33 @@ pub(crate) enum SymbolicRun {
     /// Counts from a verified closed form (or a run with nothing to
     /// evaluate).
     ClosedForm(FsModelResult),
-    /// Exact counts without a closed form, from the engine named: the run
+    /// Exact counts on the dense tables without a closed form: the run
     /// was too small for a window, had no period plan, or no period
     /// verified and the attempt finished in place.
-    Direct(FsModelResult, FsPath),
+    Direct(FsModelResult),
     /// Outside the fragment, or the work left after a failed attempt
     /// exceeds `DIRECT_WORK_LIMIT`. Carries the finished run when the
     /// caller asked for one and an attempt had started.
-    Declined(Option<(FsModelResult, FsPath)>),
+    Declined(Option<FsModelResult>),
 }
 
-/// How the engine sizes its windows and picks its machine. Production runs
-/// [`Tuning::PRODUCTION`]; tests drop the size floor to reach the windows
-/// on small runs, and force the reference machine.
+/// How the engine sizes its windows and lays out its line ids. Production
+/// runs [`Tuning::PRODUCTION`]; tests drop the size floor to reach the
+/// windows on small runs, and empty the identity id region.
 #[derive(Debug, Clone, Copy)]
 struct Tuning {
     /// Hand runs too short for `MIN_WINDOWS` full-size windows (and within
     /// the direct-work budget) to the dense walk.
     size_floor: bool,
-    /// Run the windows on [`RefMachine`] whatever the footprint.
-    reference_machine: bool,
+    /// Size the windows' interner for an empty footprint, so that every
+    /// array line past the two slack lines takes an overflow id.
+    overflow_ids: bool,
 }
 
 impl Tuning {
     const PRODUCTION: Tuning = Tuning {
         size_floor: true,
-        reference_machine: false,
+        overflow_ids: false,
     };
 }
 
@@ -204,8 +203,7 @@ fn run_tuned(
     // budget: hand it to the dense walk, or decline.
     let walk = || {
         if direct_work <= DIRECT_WORK_LIMIT {
-            let (r, engine) = run_dense_or_reference(kernel, cfg, plan, bases);
-            SymbolicRun::Direct(r, engine)
+            SymbolicRun::Direct(run_fs_model_optimized(kernel, cfg, plan, bases))
         } else {
             SymbolicRun::Declined(None)
         }
@@ -290,18 +288,12 @@ fn run_tuned(
         window,
         finish_declined,
     };
-    let footprint_lines = kernel.line_footprint(cfg.line_size);
-    // Region lines must be their own dense ids for a shift to be id
-    // arithmetic; the padded regions of `Kernel::array_bases` always are.
-    let region_end = xp.regions.end_line.last().copied().unwrap_or(0);
-    let dense = footprint_lines <= DENSE_LINE_LIMIT
-        && region_end <= DenseMachine::identity_lines(footprint_lines)
-        && !tuning.reference_machine;
-    if dense {
-        attempt.run(DenseMachine::new(cfg, footprint_lines), result)
+    let footprint_lines = if tuning.overflow_ids {
+        0
     } else {
-        attempt.run(RefMachine::new(cfg), result)
-    }
+        kernel.line_footprint(cfg.line_size)
+    };
+    attempt.run(DenseMachine::new(cfg, footprint_lines), result)
 }
 
 /// Closed-form `ChunkSchedule::iters_of_thread` (the library version scans
@@ -415,44 +407,14 @@ impl Driver {
     }
 }
 
-/// The per-access operations the window engine needs from a machine, plus
-/// the three window operations on its state: snapshot, shifted compare and
-/// translate.
-trait WindowMachine {
-    /// The engine a run finished on this machine without a closed form
-    /// reports.
-    const ENGINE: FsPath;
-    type Snapshot;
-    fn access(&mut self, t: usize, addr: u64, size: u64, is_write: bool, res: &mut FsModelResult);
-    /// Snapshot the state, reusing the buffers of `old` when given.
-    fn snapshot(&self, old: Option<Self::Snapshot>) -> Self::Snapshot;
-    /// Does the state equal `snap` translated forward by `mult` periods?
-    fn state_matches(
-        &self,
-        snap: &Self::Snapshot,
-        regions: &Regions,
-        shift: &[i64],
-        mult: i64,
-    ) -> bool;
-    /// Translate the state forward by `shift` lines per region (validated
-    /// before any mutation; false = state untouched).
-    fn translate_state(&mut self, regions: &Regions, shift: &[i64]) -> bool;
-    /// Move per-line FS cases the machine still holds into `res`.
-    fn flush_line_cases(&mut self, res: &mut FsModelResult);
-    fn evictions(&mut self) -> &mut u64;
-    /// Flush the run's remaining output into `res` and its totals into the
-    /// obs counters.
-    fn finish(self, res: &mut FsModelResult);
-}
-
-/// Exact simulation state: a machine driven in lockstep order by
+/// Exact simulation state: the dense machine driven in lockstep order by
 /// [`Driver`] environments and strength-reduced address streams.
-struct Sim<'a, M> {
+struct Sim<'a> {
     driver: &'a Driver,
     cplan: &'a CompiledPlan,
     acc_size: Vec<u64>,
     acc_write: Vec<bool>,
-    machine: M,
+    machine: DenseMachine,
     cursors: Vec<StreamCursor>,
     odometers: Vec<Odometer>,
     /// The odometers hold step `cur - 1` (false before the first step and
@@ -463,7 +425,7 @@ struct Sim<'a, M> {
     cur: u64,
 }
 
-impl<M: WindowMachine> Sim<'_, M> {
+impl Sim<'_> {
     /// Simulate lockstep steps `[cur, until)`, accumulating into `res`.
     /// `res.steps` is relative to `res` (zero for a recording window), so
     /// callers must keep window starts aligned to `spr`.
@@ -545,7 +507,7 @@ struct Attempt<'a> {
 impl Attempt<'_> {
     /// Run the windows on `machine`; when no period verifies, finish the
     /// run in place (or stop, for a decline the caller does not finish).
-    fn run<M: WindowMachine>(self, machine: M, mut result: FsModelResult) -> SymbolicRun {
+    fn run(self, machine: DenseMachine, mut result: FsModelResult) -> SymbolicRun {
         let num_threads = result.per_thread_cases.len();
         let mut sim = Sim {
             driver: self.driver,
@@ -587,16 +549,12 @@ impl Attempt<'_> {
         }
         // The simulated steps are a valid prefix of the run.
         sim.run_to(self.target, &mut result);
-        if M::ENGINE == FsPath::Reference {
-            fs_obs::counters::FS_DENSE_FALLBACKS.inc();
-        }
         sim.machine.finish(&mut result);
         result.finish_series(self.steps_per_run);
-        let run = (result, M::ENGINE);
         if declined {
-            SymbolicRun::Declined(Some(run))
+            SymbolicRun::Declined(Some(result))
         } else {
-            SymbolicRun::Direct(run.0, run.1)
+            SymbolicRun::Direct(result)
         }
     }
 }
@@ -824,137 +782,6 @@ fn shifted_line(line: u64, regions: &Regions, shift: &[i64], mult: i64) -> Optio
     (nl >= regions.start_line[r] && nl < regions.end_line[r]).then_some(nl)
 }
 
-/// A window-boundary snapshot of a [`RefMachine`]: writer indexes plus
-/// every set's residents in MRU order.
-struct RefSnapshot {
-    writers: HashMap<u64, u64>,
-    phys: HashMap<u64, u64>,
-    /// `states[thread][set]` = (line, info) MRU→LRU.
-    states: Vec<Vec<Vec<(u64, LineInfo)>>>,
-}
-
-fn map_matches(
-    old: &HashMap<u64, u64>,
-    new: &HashMap<u64, u64>,
-    regions: &Regions,
-    shift: &[i64],
-    mult: i64,
-) -> bool {
-    old.len() == new.len()
-        && old.iter().all(|(&l, &v)| {
-            shifted_line(l, regions, shift, mult).is_some_and(|nl| new.get(&nl) == Some(&v))
-        })
-}
-
-/// The window engine past the dense-table limit.
-impl WindowMachine for RefMachine {
-    const ENGINE: FsPath = FsPath::Reference;
-    type Snapshot = RefSnapshot;
-
-    #[inline]
-    fn access(&mut self, t: usize, addr: u64, size: u64, is_write: bool, res: &mut FsModelResult) {
-        RefMachine::access(self, t, addr, size, is_write, res);
-    }
-
-    fn snapshot(&self, _old: Option<RefSnapshot>) -> RefSnapshot {
-        RefSnapshot {
-            writers: self.writers.clone(),
-            phys: self.phys_writers.clone(),
-            states: self
-                .states
-                .iter()
-                .map(|st| {
-                    st.sets
-                        .iter()
-                        .map(|s| s.iter_mru().map(|(&k, &v)| (k, v)).collect())
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    /// Key maps, per-set residency, MRU order, byte masks and writer masks
-    /// must all match under the shift.
-    fn state_matches(
-        &self,
-        snap: &RefSnapshot,
-        regions: &Regions,
-        shift: &[i64],
-        mult: i64,
-    ) -> bool {
-        if !map_matches(&snap.writers, &self.writers, regions, shift, mult)
-            || !map_matches(&snap.phys, &self.phys_writers, regions, shift, mult)
-        {
-            return false;
-        }
-        snap.states.iter().zip(self.states.iter()).all(|(ss, ms)| {
-            ss.iter().zip(ms.sets.iter()).all(|(sv, mset)| {
-                sv.len() == mset.len()
-                    && sv
-                        .iter()
-                        .zip(mset.iter_mru())
-                        .all(|(&(l, info), (&ml, &minfo))| {
-                            shifted_line(l, regions, shift, mult) == Some(ml) && info == minfo
-                        })
-            })
-        })
-    }
-
-    fn translate_state(&mut self, regions: &Regions, shift: &[i64]) -> bool {
-        if shift.iter().all(|&d| d == 0) {
-            return true;
-        }
-        let remap = |map: &HashMap<u64, u64>| -> Option<HashMap<u64, u64>> {
-            let mut out = HashMap::with_capacity(map.len());
-            for (&l, &v) in map {
-                out.insert(shifted_line(l, regions, shift, 1)?, v);
-            }
-            Some(out)
-        };
-        let Some(writers) = remap(&self.writers) else {
-            return false;
-        };
-        let Some(phys) = remap(&self.phys_writers) else {
-            return false;
-        };
-        let mut new_states: Vec<Vec<LruCache<u64, LineInfo>>> =
-            Vec::with_capacity(self.states.len());
-        for st in &self.states {
-            let mut sets = Vec::with_capacity(st.sets.len());
-            for set in &st.sets {
-                let mut fresh = LruCache::new(set.capacity());
-                // Rebuild LRU-first so MRU order is preserved.
-                let entries: Vec<(u64, LineInfo)> = set.iter_mru().map(|(&k, &v)| (k, v)).collect();
-                for (l, v) in entries.into_iter().rev() {
-                    let Some(nl) = shifted_line(l, regions, shift, 1) else {
-                        return false;
-                    };
-                    fresh.insert(nl, v);
-                }
-                sets.push(fresh);
-            }
-            new_states.push(sets);
-        }
-        self.writers = writers;
-        self.phys_writers = phys;
-        for (st, sets) in self.states.iter_mut().zip(new_states) {
-            st.sets = sets;
-        }
-        true
-    }
-
-    /// Per-line cases go straight into the result.
-    fn flush_line_cases(&mut self, _res: &mut FsModelResult) {}
-
-    fn evictions(&mut self) -> &mut u64 {
-        &mut self.evictions
-    }
-
-    fn finish(self, _res: &mut FsModelResult) {
-        fs_obs::counters::FS_LRU_EVICTIONS.add(self.evictions);
-    }
-}
-
 /// A window-boundary snapshot of a [`DenseMachine`]: each thread's
 /// recency lists, every resident as its written-byte mask (a line is
 /// written exactly when that is nonzero) and that thread's bit of the
@@ -966,6 +793,10 @@ struct DenseSnapshot {
     lists: Vec<DenseSetLists<(u64, bool)>>,
 }
 
+/// The window operations on the dense walk's tables: snapshot, shifted
+/// compare and translate. A shift acts on lines, not ids, so compare and
+/// translate map each id to its line through the interner: region lines
+/// past the identity region are overflow ids, and shift like any other.
 impl DenseMachine {
     /// The invariant [`DenseSnapshot`] rests on: nonzero writer masks sit
     /// on resident written lines only, and agree with the residents.
@@ -994,21 +825,8 @@ impl DenseMachine {
             (0..st.num_sets()).flat_map(move |set| st.iter_set_mru(set).map(|(id, _)| id))
         })
     }
-}
 
-/// The window engine on the dense walk's tables. Every line the window
-/// engine sees lies in an array region, which lies inside the footprint,
-/// where a line's id is the line number itself, so a shift is plain id
-/// arithmetic.
-impl WindowMachine for DenseMachine {
-    const ENGINE: FsPath = FsPath::Optimized;
-    type Snapshot = DenseSnapshot;
-
-    #[inline]
-    fn access(&mut self, t: usize, addr: u64, size: u64, is_write: bool, res: &mut FsModelResult) {
-        DenseMachine::access(self, t, addr, size, is_write, res);
-    }
-
+    /// Snapshot the state, reusing the buffers of `old` when given.
     fn snapshot(&self, old: Option<DenseSnapshot>) -> DenseSnapshot {
         debug_assert!(self.masks_follow_residents());
         let mut snap = old.unwrap_or(DenseSnapshot { lists: Vec::new() });
@@ -1025,6 +843,7 @@ impl WindowMachine for DenseMachine {
         snap
     }
 
+    /// Does the state equal `snap` translated forward by `mult` periods?
     fn state_matches(
         &self,
         snap: &DenseSnapshot,
@@ -1044,7 +863,8 @@ impl WindowMachine for DenseMachine {
                 && old.iter_set_mru(set).zip(st.iter_set_mru(set)).all(
                     |((old_id, &(old_bytes, old_phys)), (id, info))| {
                         info.written_bytes == old_bytes
-                            && shifted_line(old_id as u64, regions, shift, mult) == Some(id as u64)
+                            && shifted_line(self.interner.line_of(old_id), regions, shift, mult)
+                                == Some(self.interner.line_of(id))
                             && (self.phys_writers[id as usize] & (1 << t) != 0) == old_phys
                     },
                 );
@@ -1056,48 +876,50 @@ impl WindowMachine for DenseMachine {
         true
     }
 
+    /// Translate the state forward by `shift` lines per region, interning
+    /// the shifted lines (validated before any mutation; false = state
+    /// untouched).
     fn translate_state(&mut self, regions: &Regions, shift: &[i64]) -> bool {
         if shift.iter().all(|&d| d == 0) {
             return true;
         }
-        let rename = |id: u32| shifted_line(id as u64, regions, shift, 1).map(|l| l as u32);
         let ids: Vec<u32> = self.resident_ids().collect();
-        if !ids.iter().all(|&id| rename(id).is_some()) {
+        let interner = &mut self.interner;
+        if !ids
+            .iter()
+            .all(|&id| shifted_line(interner.line_of(id), regions, shift, 1).is_some())
+        {
             return false;
         }
+        let mut rename = |id: u32| {
+            let line = shifted_line(interner.line_of(id), regions, shift, 1);
+            interner.id_of(line.expect("resident lines validated above"))
+        };
         // Only resident lines carry writer masks: take them all out before
-        // writing any back, since old and new lines may overlap.
+        // writing any back, since old and new ids may overlap.
         let mut moved = Vec::new();
         for &id in &ids {
             let i = id as usize;
             let (w, p) = (self.writers[i], self.phys_writers[i]);
             if w | p != 0 {
-                moved.push((rename(id).expect("validated") as usize, w, p));
+                moved.push((rename(id) as usize, w, p));
                 self.writers[i] = 0;
                 self.phys_writers[i] = 0;
             }
+        }
+        for st in &mut self.states {
+            let renamed = st.rename_keys(|id| Some(rename(id)));
+            assert!(renamed, "resident lines validated above");
+        }
+        // Shifted lines past the identity region may have taken new ids.
+        if self.interner.slots() > self.writers.len() {
+            self.grow_tables(self.interner.slots());
         }
         for (i, w, p) in moved {
             self.writers[i] = w;
             self.phys_writers[i] = p;
         }
-        for st in &mut self.states {
-            let renamed = st.rename_keys(rename);
-            assert!(renamed, "resident lines validated above");
-        }
         true
-    }
-
-    fn flush_line_cases(&mut self, res: &mut FsModelResult) {
-        DenseMachine::flush_line_cases(self, res);
-    }
-
-    fn evictions(&mut self) -> &mut u64 {
-        &mut self.evictions
-    }
-
-    fn finish(self, res: &mut FsModelResult) {
-        DenseMachine::finish(self, res);
     }
 }
 
@@ -1134,8 +956,8 @@ fn merge_window(main: &mut FsModelResult, win: &FsModelResult, spr: u64) {
 /// and simulate the ragged tail. Returns false (with `sim`/`res` advanced
 /// consistently) when no period verified within budget — the caller then
 /// finishes the run in place or declines.
-fn run_windowed<M: WindowMachine>(
-    sim: &mut Sim<'_, M>,
+fn run_windowed(
+    sim: &mut Sim<'_>,
     xp: &ExtPlan,
     res: &mut FsModelResult,
     target: u64,
@@ -1147,7 +969,7 @@ fn run_windowed<M: WindowMachine>(
     let warmup_step_limit = (DIRECT_WORK_LIMIT / per_step_work.max(1)).max(window);
     // Boundary snapshots, oldest first (at most 2: periods of one and two
     // windows are both caught; longer super-periods finish in place).
-    let mut ring: Vec<M::Snapshot> = Vec::with_capacity(2);
+    let mut ring: Vec<DenseSnapshot> = Vec::with_capacity(2);
     ring.push(sim.machine.snapshot(None));
 
     loop {
@@ -1193,11 +1015,11 @@ fn run_windowed<M: WindowMachine>(
 
         // Record one verified window's deltas.
         sim.machine.flush_line_cases(res);
-        let evict0 = *sim.machine.evictions();
+        let evict0 = sim.machine.evictions;
         let mut win = FsModelResult::empty(res.per_thread_cases.len());
         sim.run_to(sim.cur + jp, &mut win);
         sim.machine.flush_line_cases(&mut win);
-        let win_evict = *sim.machine.evictions() - evict0;
+        let win_evict = sim.machine.evictions - evict0;
         let p_runs = jp / sim.spr;
         debug_assert!(jp.is_multiple_of(sim.spr));
 
@@ -1256,7 +1078,7 @@ fn run_windowed<M: WindowMachine>(
         }
         res.steps += k * win.steps;
         res.iterations += k * win.iterations;
-        *sim.machine.evictions() += k * win_evict;
+        sim.machine.evictions += k * win_evict;
         sim.jump(k * jp);
         fs_obs::counters::FS_SYMBOLIC_EXTRAPOLATED_STEPS.add(k * jp);
 
@@ -1289,12 +1111,13 @@ mod tests {
 
     /// The window engine with no size floor, so that small runs take the
     /// windows and the extrapolation too, gives the reference path's counts
-    /// on every in-fragment case, on the dense tables and on
-    /// [`RefMachine`] alike. A declined attempt is finished in place and
-    /// checked as well. Each machine must extrapolate in at least one case
-    /// in twenty, so the property cannot go vacuous.
+    /// on every in-fragment case, under both id layouts: region lines as
+    /// their own ids, and (with the identity region emptied) region lines
+    /// as overflow ids, which the shift must intern. A declined attempt is
+    /// finished in place and checked as well. Each layout must extrapolate
+    /// in at least one case in twenty, so the property cannot go vacuous.
     #[test]
-    fn window_engine_matches_reference_on_both_machines() {
+    fn window_engine_matches_reference_on_both_id_layouts() {
         static EXTRAPOLATED: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
         static CASES: AtomicU64 = AtomicU64::new(0);
 
@@ -1324,29 +1147,29 @@ mod tests {
                 let bases = k.array_bases(cfg.line_size);
                 let ctx = format!("{} threads={threads} {cfg:?}", k.name);
                 CASES.fetch_add(1, Ordering::Relaxed);
-                for (m, reference_machine) in [false, true].into_iter().enumerate() {
-                    let tuning = Tuning { size_floor: false, reference_machine };
+                for (m, overflow_ids) in [false, true].into_iter().enumerate() {
+                    let tuning = Tuning { size_floor: false, overflow_ids };
                     let got = match run_tuned(&k, &cfg, &plan, &bases, true, tuning) {
                         SymbolicRun::ClosedForm(r) => {
                             EXTRAPOLATED[m].fetch_add(1, Ordering::Relaxed);
                             r
                         }
-                        SymbolicRun::Direct(r, _) | SymbolicRun::Declined(Some((r, _))) => r,
+                        SymbolicRun::Direct(r) | SymbolicRun::Declined(Some(r)) => r,
                         SymbolicRun::Declined(None) => {
                             return Err(TestCaseError::fail(format!("{ctx}: declined")));
                         }
                     };
-                    prop_assert_eq!(&got, &want, "{} (reference machine: {})", ctx, reference_machine);
+                    prop_assert_eq!(&got, &want, "{} (overflow ids: {})", ctx, overflow_ids);
                 }
             }
         }
         cases();
         let cases = CASES.load(Ordering::Relaxed);
-        for (m, name) in ["dense", "reference"].into_iter().enumerate() {
+        for (m, name) in ["identity", "overflow"].into_iter().enumerate() {
             let n = EXTRAPOLATED[m].load(Ordering::Relaxed);
             assert!(
                 n * 20 >= cases,
-                "{name} machine extrapolated only {n} of {cases} cases"
+                "{name} id layout extrapolated only {n} of {cases} cases"
             );
         }
     }

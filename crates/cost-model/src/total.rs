@@ -28,10 +28,9 @@ pub struct LoopCost {
     pub fs: FsModelResult,
     /// The FS-model engine that actually produced [`Self::fs`]: the
     /// requested path ([`AnalysisOptions::fs_path`] /
-    /// [`FsModelConfig::path`]) unless it fell back. A symbolic request
-    /// outside the decidable fragment reports `Optimized` (or `Reference`
-    /// past the dense-table limit), and so does an optimized request whose
-    /// footprint is too large for dense tables.
+    /// [`FsModelConfig::path`]), except that a symbolic request answered
+    /// without a closed form (outside the decidable fragment, or exact on
+    /// the dense tables inside it) reports `Optimized`.
     pub fs_path: FsPath,
     /// Total FS cases predicted by the §III-E predictor when
     /// [`AnalysisOptions::predict_chunk_runs`] produced a prediction (exact

@@ -384,9 +384,8 @@ impl Daemon {
     /// The `stats` response: shard count, aggregated cache stats (lifetime
     /// hits/misses/evictions plus resident and peak bytes), the default
     /// FS-model path with its lifetime dispatch/fallback tallies, the
-    /// simulator's replay dispatch tallies (dense / reference plus the
-    /// dense path's footprint-limit fallbacks), the
-    /// process-wide request counter, daemon uptime, per-command tallies
+    /// simulator's replay dispatch tallies (replays, dense, reference),
+    /// the process-wide request counter, daemon uptime, per-command tallies
     /// (obs-independent), and request-latency quantiles.
     pub fn stats_json(&self) -> JsonValue {
         let cache = self.service.cache();
@@ -430,10 +429,6 @@ impl Daemon {
                     .field(
                         "dispatch_reference",
                         obs::counters::SIM_DISPATCH_REFERENCE.get(),
-                    )
-                    .field(
-                        "dense_limit_fallbacks",
-                        obs::counters::SIM_DENSE_FALLBACKS.get(),
                     ),
             )
             .field("requests", obs::counters::SVC_REQUESTS.get())
@@ -859,15 +854,7 @@ mod tests {
             panic!("stats carry a sim block");
         };
         let keys: Vec<&str> = sim.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "replays",
-                "dispatch_dense",
-                "dispatch_reference",
-                "dense_limit_fallbacks"
-            ]
-        );
+        assert_eq!(keys, ["replays", "dispatch_dense", "dispatch_reference"]);
         assert!(sim.iter().all(|(_, v)| v.as_u64().is_some()), "{sim:?}");
     }
 

@@ -265,20 +265,15 @@ pub mod counters {
     pub static FS_LINE_TABLE_SLOTS: Counter = Counter::new("fs.line_table_slots");
     /// Runs dispatched to the dense (optimized) hot loop.
     pub static FS_DISPATCH_DENSE: Counter = Counter::new("fs.dispatch_dense");
-    /// Runs answered by the reference hash-map path (requested, or past
-    /// the dense-table limit).
+    /// Runs answered by the reference hash-map path (only on request).
     pub static FS_DISPATCH_REFERENCE: Counter = Counter::new("fs.dispatch_reference");
-    /// Optimized-path requests that fell back to the reference path because
-    /// the kernel footprint exceeded `DENSE_LINE_LIMIT`.
-    pub static FS_DENSE_FALLBACKS: Counter = Counter::new("fs.dense_limit_fallbacks");
     /// Runs answered by the symbolic (closed-form) path.
     pub static FS_DISPATCH_SYMBOLIC: Counter = Counter::new("fs.dispatch_symbolic");
     /// Symbolic-path requests that fell outside the decidable fragment (or
-    /// its work budget) and fell back to the dense/reference path.
+    /// its work budget) and fell back to the dense path.
     pub static FS_SYMBOLIC_FALLBACKS: Counter = Counter::new("fs.symbolic_fallbacks");
     /// Symbolic-path requests inside the fragment and its work budget but
-    /// without a closed form, answered exactly on the dense (or, past the
-    /// dense-table limit, reference) machine.
+    /// without a closed form, answered exactly on the dense machine.
     pub static FS_SYMBOLIC_DIRECT: Counter = Counter::new("fs.symbolic_direct");
     /// Lockstep steps the symbolic engine simulated: warm-up and recording
     /// windows, ragged tails, and in-place continuations of failed
@@ -303,11 +298,9 @@ pub mod counters {
     pub static SIM_TRUE_SHARING: Counter = Counter::new("sim.true_sharing");
     /// Replays dispatched to the dense (optimized) simulator.
     pub static SIM_DISPATCH_DENSE: Counter = Counter::new("sim.dispatch_dense");
-    /// Replays dispatched to the reference hash-map simulator.
+    /// Replays dispatched to the reference hash-map simulator (only on
+    /// request).
     pub static SIM_DISPATCH_REFERENCE: Counter = Counter::new("sim.dispatch_reference");
-    /// Optimized-path requests that fell back to the reference simulator
-    /// because the kernel footprint exceeded the dense line limit.
-    pub static SIM_DENSE_FALLBACKS: Counter = Counter::new("sim.dense_limit_fallbacks");
     /// Experiment points evaluated by the parallel measured-side harness.
     pub static SIM_POINTS: Counter = Counter::new("sim.points_evaluated");
     /// Memo-cache entries evicted to stay under the byte budget.
@@ -324,7 +317,7 @@ pub mod counters {
     /// `internal error` envelope).
     pub static SVC_PANICS: Counter = Counter::new("svc.panics");
 
-    pub(super) static ALL: [&Counter; 35] = [
+    pub(super) static ALL: [&Counter; 33] = [
         &SWEEP_MEMO_HITS,
         &SWEEP_MEMO_MISSES,
         &SWEEP_POINTS,
@@ -337,7 +330,6 @@ pub mod counters {
         &FS_LINE_TABLE_SLOTS,
         &FS_DISPATCH_DENSE,
         &FS_DISPATCH_REFERENCE,
-        &FS_DENSE_FALLBACKS,
         &FS_DISPATCH_SYMBOLIC,
         &FS_SYMBOLIC_FALLBACKS,
         &FS_SYMBOLIC_DIRECT,
@@ -352,7 +344,6 @@ pub mod counters {
         &SIM_TRUE_SHARING,
         &SIM_DISPATCH_DENSE,
         &SIM_DISPATCH_REFERENCE,
-        &SIM_DENSE_FALLBACKS,
         &SIM_POINTS,
         &SWEEP_MEMO_EVICTIONS,
         &SVC_REQUESTS,

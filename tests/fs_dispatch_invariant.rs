@@ -6,8 +6,9 @@
 //! of three ways — a closed form (`fs.dispatch_symbolic`), an exact run on
 //! the dense tables without one (`fs.symbolic_direct`), or a decline
 //! outside the decidable fragment (`fs.symbolic_fallbacks`) — and
-//! `LoopCost::fs_path` names the engine that answered. Only a closed form
-//! applies steps in closed form (`fs.symbolic_extrapolated_steps`).
+//! `LoopCost::fs_path` names the engine that answered, at any footprint.
+//! Only a closed form applies steps in closed form
+//! (`fs.symbolic_extrapolated_steps`).
 //!
 //! The same counters turn two speed-ups that come from doing less work
 //! into exact checks: the closed form skips nearly all lockstep steps on
@@ -73,8 +74,9 @@ fn triangular_kernel() -> Kernel {
     .expect("triangular kernel parses")
 }
 
-/// A kernel whose footprint (2^23 lines) exceeds the FS model's dense-table
-/// limit (2^22 lines) but which touches only 64 lines.
+/// A kernel whose footprint (2^23 lines) is twice the dense tables'
+/// identity cap (2^22 lines) but which touches only 64 lines, half of them
+/// past the cap.
 fn oversized_kernel() -> Kernel {
     let stride = 1 << 20;
     let mut b = KernelBuilder::new("sparse_touch");
@@ -125,18 +127,17 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
     obs::configure(obs::ObsConfig::enabled());
     obs::reset();
     let machine = presets::paper48();
-    // (kernel, symbolic regime, fits the dense tables)
     let kernels = small_corpus()
         .into_iter()
-        .map(|k| (k, Regime::Direct, true))
+        .map(|k| (k, Regime::Direct))
         .chain([
-            (closed_form_kernel(), Regime::ClosedForm, true),
-            (triangular_kernel(), Regime::Declined, true),
-            (oversized_kernel(), Regime::Direct, false),
+            (closed_form_kernel(), Regime::ClosedForm),
+            (triangular_kernel(), Regime::Declined),
+            (oversized_kernel(), Regime::Direct),
         ]);
 
     let mut symbolic_attempts = 0u64;
-    for (kernel, regime, fits) in kernels {
+    for (kernel, regime) in kernels {
         for predict in [None, Some(4)] {
             for path in [FsPath::Optimized, FsPath::Reference, FsPath::Symbolic] {
                 let ctx = format!("kernel={} predict={predict:?} path={path:?}", kernel.name);
@@ -186,12 +187,27 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
                 let engine = match path {
                     FsPath::Symbolic if regime == Regime::ClosedForm => FsPath::Symbolic,
                     FsPath::Reference => FsPath::Reference,
-                    _ if fits => FsPath::Optimized,
-                    _ => FsPath::Reference,
+                    _ => FsPath::Optimized,
                 };
                 assert_eq!(cost.fs_path, engine, "{ctx}: wrong engine reported");
             }
         }
+    }
+
+    // Past the identity cap the fast engines still give the reference's
+    // counts, field for field.
+    let oversized = oversized_kernel();
+    let cfg = |path| fs_core::FsModelConfig {
+        path,
+        ..fs_core::FsModelConfig::for_machine(&machine, 4)
+    };
+    let want = fs_core::run_fs_model(&oversized, &cfg(FsPath::Reference));
+    for path in [FsPath::Optimized, FsPath::Symbolic] {
+        assert_eq!(
+            fs_core::run_fs_model(&oversized, &cfg(path)),
+            want,
+            "oversized kernel on {path}"
+        );
     }
     obs::configure(obs::ObsConfig::disabled());
 }

@@ -1,7 +1,7 @@
 //! The simulator's two-way dispatch invariant: every replay is answered by
 //! exactly one engine, so `sim.dispatch_dense + sim.dispatch_reference ==
-//! sim.replays`, and `sim.dense_limit_fallbacks` counts only
-//! [`SimPath::Optimized`] requests whose footprint exceeds the dense limit.
+//! sim.replays`, and the engine is the one requested, at any footprint:
+//! `sim.dispatch_reference` moves only for [`SimPath::Reference`].
 //!
 //! A test binary of its own: the counters are process-global, so no other
 //! test may replay while this one reads them.
@@ -29,8 +29,8 @@ fn small_corpus() -> Vec<Kernel> {
         .collect()
 }
 
-/// A kernel whose footprint (2^22 lines) exceeds the dense limit (2^21
-/// lines) but which touches only 64 lines.
+/// A kernel whose footprint (2^22 lines) is past the dense tables' identity
+/// region but which touches only 64 lines.
 fn oversized_kernel() -> Kernel {
     let stride = 1 << 19;
     let mut b = KernelBuilder::new("sparse_touch");
@@ -44,13 +44,12 @@ fn oversized_kernel() -> Kernel {
     b.build()
 }
 
-/// `(replays, dispatch_dense, dispatch_reference, dense_limit_fallbacks)`.
-fn tallies() -> (u64, u64, u64, u64) {
+/// `(replays, dispatch_dense, dispatch_reference)`.
+fn tallies() -> (u64, u64, u64) {
     (
         counters::SIM_REPLAYS.get(),
         counters::SIM_DISPATCH_DENSE.get(),
         counters::SIM_DISPATCH_REFERENCE.get(),
-        counters::SIM_DENSE_FALLBACKS.get(),
     )
 }
 
@@ -59,28 +58,23 @@ fn every_replay_takes_exactly_one_of_two_engines() {
     obs::configure(obs::ObsConfig::enabled());
     obs::reset();
     let machine = presets::paper48();
-    let kernels = small_corpus()
-        .into_iter()
-        .map(|k| (k, true))
-        .chain([(oversized_kernel(), false)]);
+    let kernels = small_corpus().into_iter().chain([oversized_kernel()]);
 
-    for (kernel, fits) in kernels {
+    for kernel in kernels {
         for prefetch in [true, false] {
             for path in [SimPath::Optimized, SimPath::Reference] {
                 let mut opts = SimOptions::new(4).with_path(path);
                 opts.prefetch = prefetch;
-                let (replays, dense, reference, fallbacks) = tallies();
+                let (replays, dense, reference) = tallies();
                 simulate_kernel(&kernel, &machine, opts);
                 let after = tallies();
-                let dense_run = path == SimPath::Optimized && fits;
-                let fell_back = path == SimPath::Optimized && !fits;
+                let dense_run = path == SimPath::Optimized;
                 assert_eq!(
                     after,
                     (
                         replays + 1,
                         dense + dense_run as u64,
                         reference + !dense_run as u64,
-                        fallbacks + fell_back as u64,
                     ),
                     "kernel={} prefetch={prefetch} path={path:?}",
                     kernel.name
@@ -89,7 +83,5 @@ fn every_replay_takes_exactly_one_of_two_engines() {
             }
         }
     }
-    // One fallback per prefetch setting, both from the oversized kernel.
-    assert_eq!(counters::SIM_DENSE_FALLBACKS.get(), 2);
     obs::configure(obs::ObsConfig::disabled());
 }
