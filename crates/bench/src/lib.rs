@@ -12,7 +12,7 @@
 //! scales keep the *structure* (trip-count ratios, chunk sizes, thread
 //! sweep 2..48) while shrinking totals to simulator-friendly sizes.
 
-use cost_model::{machine_cost, modeled_fs_overhead, AnalysisOptions};
+use cost_model::{machine_cost, modeled_fs_overhead, AnalysisOptions, FsPath};
 use loop_ir::Kernel;
 use machine::MachineConfig;
 
@@ -127,20 +127,30 @@ pub fn fs_effect_table(
 }
 
 /// The full model of one FS/no-FS kernel pair, reduced to what the tables
-/// print.
+/// print, plus the engine that ran each kernel.
 #[derive(Debug)]
 struct FullModel {
     fs_cases: u64,
     nfs_cases: u64,
     fs_overhead_fraction: f64,
+    /// `LoopCost::fs_path` of the FS and the no-FS kernel, for the test
+    /// that pins where the closed form engages.
+    #[cfg(test)]
+    paths: (FsPath, FsPath),
 }
 
+/// Full runs give the same result on every FS path, so the pair runs on
+/// the symbolic one: the closed form where a period verifies, the dense
+/// walk elsewhere.
 fn full_model(k_fs: &Kernel, k_nfs: &Kernel, machine: &MachineConfig, threads: u32) -> FullModel {
-    let m = modeled_fs_overhead(k_fs, k_nfs, machine, &AnalysisOptions::new(threads));
+    let opts = AnalysisOptions::new(threads).path(FsPath::Symbolic);
+    let m = modeled_fs_overhead(k_fs, k_nfs, machine, &opts);
     FullModel {
         fs_cases: m.fs_loop.fs.fs_cases,
         nfs_cases: m.nfs_loop.fs.fs_cases,
         fs_overhead_fraction: m.fs_overhead_fraction,
+        #[cfg(test)]
+        paths: (m.fs_loop.fs_path, m.nfs_loop.fs_path),
     }
 }
 
@@ -316,13 +326,14 @@ pub fn enable_sim_counters() {
     fs_core::obs::configure(cfg);
 }
 
-/// One-line summary of the process's `sim.*` counters (see
-/// `docs/OBSERVABILITY.md` for the taxonomy).
+/// One-line summary of the process's `sim.*` counters and of the FS
+/// engine mix (see `docs/OBSERVABILITY.md` for the taxonomy).
 pub fn sim_summary() -> String {
     let snap = fs_core::obs::snapshot();
     format!(
         "sim: {} replays ({} dense, {} reference), {} points on {} workers, \
-         {} accesses, {} coherence misses ({} FS, {} TS)",
+         {} accesses, {} coherence misses ({} FS, {} TS); \
+         fs: {} closed form, {} dense ({} symbolic direct, {} symbolic fallbacks)",
         snap.counter("sim.replays"),
         snap.counter("sim.dispatch_dense"),
         snap.counter("sim.dispatch_reference"),
@@ -332,6 +343,10 @@ pub fn sim_summary() -> String {
         snap.counter("sim.coherence_misses"),
         snap.counter("sim.false_sharing"),
         snap.counter("sim.true_sharing"),
+        snap.counter("fs.dispatch_symbolic"),
+        snap.counter("fs.dispatch_dense"),
+        snap.counter("fs.symbolic_direct"),
+        snap.counter("fs.symbolic_fallbacks"),
     )
 }
 
@@ -379,6 +394,24 @@ mod tests {
             s.contains("replays") && s.contains("coherence misses"),
             "{s}"
         );
+        assert!(s.contains("closed form") && s.contains("symbolic fallbacks"));
+    }
+
+    /// The golden tables cannot tell which engine computed a full model;
+    /// this pins that the linear-regression and heat pairs get the closed
+    /// form at 8 threads, from each result's own path rather than the
+    /// process-wide counters that concurrent tests share.
+    #[test]
+    fn full_models_take_the_closed_form_on_linreg_and_heat() {
+        let m = paper48();
+        let (l, h) = (scale::LINREG_CHUNKS, scale::HEAT_CHUNKS);
+        for (name, k_fs, k_nfs) in [
+            ("linreg", scale::linreg(l.0, 8), scale::linreg(l.1, 8)),
+            ("heat", scale::heat(h.0, 8), scale::heat(h.1, 8)),
+        ] {
+            let full = full_model(&k_fs, &k_nfs, &m, 8);
+            assert_eq!(full.paths, (FsPath::Symbolic, FsPath::Symbolic), "{name}");
+        }
     }
 
     /// Regenerate the 8-thread row of a Tables IV-VI style table and

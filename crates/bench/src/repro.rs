@@ -167,14 +167,15 @@ impl Point {
     }
 
     /// A rough work estimate for scheduling, in kernel iterations: a replay
-    /// costs about as much per iteration as a full model of both kernels of
-    /// its pair (about 1.1 µs vs 2 x 0.5 µs for linear regression on a
-    /// 2-core x86-64 host), while a prediction or a series samples only a
-    /// few chunk runs and goes last.
+    /// costs about five times as much per iteration as the full model of
+    /// one kernel (over the whole sweep, about 0.55 µs per replayed
+    /// iteration vs 0.11 µs per modeled one on a 2-core x86-64 host, where
+    /// the model takes the closed form on about half its kernels), while a
+    /// prediction or a series samples only a few chunk runs and goes last.
     fn cost(self) -> u64 {
         let iters = |c| self.kernel(c).nest.total_iterations().unwrap_or(0);
         match self.what {
-            What::Replay(c) => 2 * iters(c),
+            What::Replay(c) => 5 * iters(c),
             What::Model((c_fs, c_nfs)) => iters(c_fs) + iters(c_nfs),
             What::Predict(_) | What::Series => 0,
         }

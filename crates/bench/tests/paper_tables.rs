@@ -1,8 +1,11 @@
 //! The paper's Tables I–III kernels at the sizes the reproduction runs
 //! (`fs_bench::scale`): the fast engines equal their oracles there. The
-//! golden tables pin only the default paths (the dense FS walk and the
-//! optimized replay), so these are the checks that the service's symbolic
-//! default and the reference replay agree with them at full size.
+//! golden tables pin the engines the reproduction runs — the symbolic FS
+//! path for full models (closed form where a period verifies, the dense
+//! walk elsewhere), the dense walk for predictions, and the optimized
+//! replay — so these are the checks that the symbolic path equals the
+//! dense walk and the optimized replay equals the reference replay at full
+//! size.
 
 use cache_sim::{simulate_kernel_prepared, SimOptions, SimPath, SimPrepared};
 use cost_model::{analyze_loop, AnalysisOptions, FsModelConfig, FsPath};

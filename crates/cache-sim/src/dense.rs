@@ -14,6 +14,13 @@
 //! * per-line **FS attribution** becomes a vector, materialized into the
 //!   `fs_by_line` map only once at the end.
 //!
+//! One shortcut has no counterpart in the reference: an access to the line
+//! the same core accessed last, which the general path would answer with an
+//! L1 hit on the set's MRU entry and a same-line prefetcher touch, only
+//! adds to the counters and the written-byte mask
+//! (`DenseMultiCoreSim::access_line`; the argument that this is exact is
+//! in `docs/SIM.md`, "Same-line repeats").
+//!
 //! Array bases are contiguous and line-aligned starting at `align`
 //! ([`loop_ir::Kernel::array_bases`]), so every line inside the kernel's
 //! footprint, up to the interner's identity cap, *is* its own dense id
@@ -220,14 +227,29 @@ impl DenseSetCache {
     }
 }
 
+/// The line a core's last line-granular access demanded (see
+/// [`DenseMultiCoreSim::access_line`]).
+#[derive(Clone, Copy)]
+struct LastLine {
+    line: u64,
+    id: u32,
+}
+
 /// The private cache stack of one core.
 struct DenseCore {
     l1: DenseSetCache,
     l2: Option<DenseSetCache>,
+    /// Set after every access; the line is then resident and the MRU entry
+    /// of its L1 set until this core's next access or a remote
+    /// invalidation of it, which clears the mark.
+    last: Option<LastLine>,
 }
 
 impl DenseCore {
     fn invalidate(&mut self, id: u32) {
+        if self.last.is_some_and(|l| l.id == id) {
+            self.last = None;
+        }
         self.l1.remove(id);
         if let Some(l2) = &mut self.l2 {
             l2.remove(id);
@@ -286,6 +308,7 @@ impl DenseMultiCoreSim {
             .map(|_| DenseCore {
                 l1: DenseSetCache::new(private[0], h.line_size),
                 l2: private.get(1).map(|l| DenseSetCache::new(l, h.line_size)),
+                last: None,
             })
             .collect();
         let shared = shared_level
@@ -370,8 +393,8 @@ impl DenseMultiCoreSim {
         if need > self.dir.tags.len() {
             self.dir.grow(need);
             self.fs_by_id.resize(need, 0);
+            self.seen.grow(need);
         }
-        self.seen.grow(need);
         id
     }
 
@@ -404,15 +427,40 @@ impl DenseMultiCoreSim {
         }
     }
 
+    /// One line-granular access. A repeat of the core's previous line
+    /// (still marked in [`DenseCore::last`]) is an L1 hit on the set's MRU
+    /// entry, so the probe moves nothing; the prefetcher's second look at
+    /// the line prefetches nothing and only re-marks its newest stream as
+    /// the newest, which changes no later decision; and a read, or a write
+    /// whose line this core already holds Modified, leaves the directory
+    /// as it was. Such a repeat only adds to the counters and, for a
+    /// write, the written-byte mask.
     fn access_line(&mut self, thread: u32, line: u64, bytes: u64, is_write: bool) {
         let c = thread as usize;
+        if let Some(last) = self.repeat_of(thread, line, is_write) {
+            let st = &mut self.stats.per_thread[c];
+            st.accesses += 1;
+            st.l1_hits += 1;
+            st.cycles += self.cores[c].l1.hit_latency as u64;
+            if is_write {
+                self.dir.written[last.id as usize] |= bytes;
+            }
+            return;
+        }
         self.stats.per_thread[c].accesses += 1;
         // The prefetcher observes the demand stream (hits included), on
         // original line numbers — before anything else, as in the
         // reference path.
         self.feed_prefetcher(thread, line);
         let id = self.intern(line);
+        self.demand(thread, line, id, bytes, is_write);
+        self.cores[c].last = Some(LastLine { line, id });
+    }
 
+    /// [`Self::access_line`]'s general path: whatever the access does
+    /// after the prefetcher has seen it.
+    fn demand(&mut self, thread: u32, line: u64, id: u32, bytes: u64, is_write: bool) {
+        let c = thread as usize;
         // --- private hit path ---
         if self.cores[c].l1.probe(id) {
             let lat = self.cores[c].l1.hit_latency;
@@ -478,6 +526,18 @@ impl DenseMultiCoreSim {
         self.fill_private(thread, id, line);
     }
 
+    /// The core's last line, when an access to `line` repeats it and
+    /// leaves the directory as it is: a read, or a write to a line tagged
+    /// Modified (this core holds the line, so no other core owns it).
+    #[inline]
+    fn repeat_of(&self, thread: u32, line: u64, is_write: bool) -> Option<LastLine> {
+        let last = self.cores[thread as usize]
+            .last
+            .filter(|l| l.line == line)?;
+        let unchanged = !is_write || self.dir.tags[last.id as usize] == TAG_MODIFIED;
+        unchanged.then_some(last)
+    }
+
     fn feed_prefetcher(&mut self, thread: u32, line: u64) {
         let Some(pfs) = &mut self.prefetchers else {
             return;
@@ -538,11 +598,7 @@ impl DenseMultiCoreSim {
                     self.stats.per_thread[me as usize].cycles += self
                         .coherence
                         .stall_cycles(self.coherence.invalidation, true);
-                    for o in 0..self.cores.len() as u32 {
-                        if others & (1u64 << o) != 0 {
-                            self.cores[o as usize].invalidate(id);
-                        }
-                    }
+                    self.invalidate_sharers(others, id);
                 }
                 self.dir.written[i] = 0;
             }
@@ -554,6 +610,17 @@ impl DenseMultiCoreSim {
         }
         self.dir.tags[i] = TAG_MODIFIED;
         self.dir.word[i] = me as u64;
+    }
+
+    /// Invalidate `id` in every core of the `cores` bitmask, walking its set
+    /// bits.
+    #[inline]
+    fn invalidate_sharers(&mut self, cores: u64, id: u32) {
+        let mut rest = cores;
+        while rest != 0 {
+            self.cores[rest.trailing_zeros() as usize].invalidate(id);
+            rest &= rest - 1;
+        }
     }
 
     /// OR `bytes` into the written mask of a line this core just wrote.
@@ -623,11 +690,7 @@ impl DenseMultiCoreSim {
                         self.stats.per_thread[me as usize].cycles += self
                             .coherence
                             .stall_cycles(self.coherence.invalidation, true);
-                        for o in 0..self.cores.len() as u32 {
-                            if others & (1u64 << o) != 0 {
-                                self.cores[o as usize].invalidate(id);
-                            }
-                        }
+                        self.invalidate_sharers(others, id);
                     }
                     self.dir.tags[i] = TAG_MODIFIED;
                     self.dir.word[i] = me as u64;
@@ -736,8 +799,18 @@ impl DenseMultiCoreSim {
     }
 
     /// Debug invariant check mirroring the reference
-    /// `MultiCoreSim::check_invariants`. O(ids × cores); test-only.
+    /// `MultiCoreSim::check_invariants`, plus the residency of each core's
+    /// marked last line. O(ids × cores); test-only.
     pub fn check_invariants(&self) {
+        for (c, core) in self.cores.iter().enumerate() {
+            if let Some(last) = core.last {
+                assert!(
+                    core.l1.contains(last.id),
+                    "core {c}'s last line {} left its L1",
+                    last.line
+                );
+            }
+        }
         for id in 0..self.interner.slots() as u32 {
             let i = id as usize;
             match self.dir.tags[i] {
@@ -835,11 +908,27 @@ mod tests {
                 (t, line * 64 + off, 8, w)
             })
             .collect();
-        for machine in [presets::tiny_test(), presets::paper48()] {
-            for prefetch in [false, true] {
-                // footprint 32 < 48 lines used: the overflow region is
-                // exercised too.
-                assert_mirror(&machine, 4, 32, prefetch, seq.iter().copied());
+        // The same traffic with half the accesses on the thread's previous
+        // line, so the same-line shortcut meets remote reads and writes,
+        // evictions and upgrades.
+        let mut last = [0u64; 4];
+        let repeating: Vec<(u32, u64, u32, bool)> = (0..5000)
+            .map(|_| {
+                let t = (next() % 4) as usize;
+                if next() % 2 == 0 {
+                    last[t] = next() % 48;
+                }
+                let off = (next() % 8) * 8;
+                (t as u32, last[t] * 64 + off, 8, next() % 10 < 4)
+            })
+            .collect();
+        for accesses in [&seq, &repeating] {
+            for machine in [presets::tiny_test(), presets::paper48()] {
+                for prefetch in [false, true] {
+                    // footprint 32 < 48 lines used: the overflow region is
+                    // exercised too.
+                    assert_mirror(&machine, 4, 32, prefetch, accesses.iter().copied());
+                }
             }
         }
     }
@@ -852,6 +941,132 @@ mod tests {
             seq.push((1, i * 64, 8, i % 3 == 0));
         }
         assert_mirror(&presets::paper48(), 2, 700, true, seq.iter().copied());
+    }
+
+    /// [`assert_mirror`] in lockstep, on both machines and with the
+    /// prefetcher off and on: the per-thread stats agree after every
+    /// access. Returns, per run, how many accesses took the repeat
+    /// shortcut on their first line, and the dense stats.
+    fn mirror_stepwise(seq: &[(u32, u64, u32, bool)]) -> Vec<(usize, SimStats)> {
+        let mut runs = Vec::new();
+        for machine in [presets::tiny_test(), presets::paper48()] {
+            for prefetch in [false, true] {
+                let mut reference = MultiCoreSim::new(&machine, 2);
+                let mut dense = DenseMultiCoreSim::new(&machine, 2, 1 << 12);
+                if prefetch {
+                    reference = reference.with_prefetchers();
+                    dense = dense.with_prefetchers();
+                }
+                let mut repeats = 0;
+                for (step, &(t, addr, size, w)) in seq.iter().enumerate() {
+                    repeats += dense.repeat_of(t, addr / 64, w).is_some() as usize;
+                    reference.access(t, addr, size, w);
+                    dense.access(t, addr, size, w);
+                    assert_eq!(
+                        dense.stats().per_thread,
+                        reference.stats().per_thread,
+                        "{}, prefetch {prefetch}: step {step} {:?}",
+                        machine.name,
+                        seq[step]
+                    );
+                }
+                reference.check_invariants();
+                dense.check_invariants();
+                let stats = dense.into_stats();
+                assert_eq!(stats, reference.into_stats());
+                runs.push((repeats, stats));
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn repeat_write_after_a_remote_read_upgrades() {
+        let seq = [
+            (0, 0, 8, true),   // core 0 takes line 0 Modified
+            (0, 8, 8, true),   // repeat write on Modified: shortcut
+            (1, 16, 8, false), // remote read downgrades core 0 to Shared
+            (0, 24, 8, true),  // same line, but Shared: must upgrade
+            (0, 32, 8, true),  // Modified again: shortcut
+            (1, 40, 8, false), // remote read downgrades again
+            (0, 0, 8, false),  // repeat read of a Shared line: shortcut
+        ];
+        for (repeats, stats) in mirror_stepwise(&seq) {
+            assert_eq!(repeats, 3);
+            assert_eq!(stats.per_thread[0].upgrades, 1);
+        }
+    }
+
+    #[test]
+    fn repeat_after_a_remote_write_misses() {
+        let seq = [
+            (0, 0, 8, false),      // core 0 reads line 0
+            (0, 8, 8, false),      // repeat read: shortcut
+            (1, 16, 8, true),      // remote write invalidates core 0
+            (0, 0, 8, false),      // no longer a repeat: coherence miss
+            (0, 8, 8, true),       // Shared: upgrade, invalidating core 1
+            (0, 8, 8, true),       // Modified: shortcut
+            (1, 5 * 64, 8, false), // core 1 reads line 5 ...
+            (0, 5 * 64, 8, false), // ... shared with core 0
+            (0, 16, 8, false),     // back on line 0 (Modified)
+            (1, 5 * 64, 8, true),  // remote write of another line
+            (0, 24, 8, true),      // line 0 is still marked: shortcut
+            (1, 16, 8, true),      // remote write miss invalidates core 0
+            (0, 24, 8, true),      // write after the invalidation: miss
+        ];
+        for (repeats, stats) in mirror_stepwise(&seq) {
+            assert_eq!(repeats, 3);
+            assert!(stats.per_thread[0].coherence_misses >= 2);
+        }
+    }
+
+    #[test]
+    fn repeats_around_straddling_accesses() {
+        let seq = [
+            (0, 60, 8, true),   // lines 0 and 1; the mark is line 1
+            (0, 64, 8, true),   // line 1 again, Modified: shortcut
+            (0, 56, 16, false), // line 0, then line 1 (no repeat after line 0)
+            (0, 120, 16, true), // line 1 again (shortcut), then line 2
+            (0, 130, 4, true),  // line 2 again: shortcut
+            (1, 124, 8, false), // core 1 straddles lines 1-2, downgrading both
+            (0, 132, 4, true),  // line 2 again, now Shared: upgrade
+            (0, 188, 8, false), // line 2 again (a read: shortcut), then line 3
+            (0, 192, 8, true),  // line 3 again, but clean: general path
+        ];
+        for (repeats, stats) in mirror_stepwise(&seq) {
+            assert_eq!(repeats, 4);
+            assert!(stats.per_thread[0].upgrades >= 1);
+        }
+    }
+
+    #[test]
+    fn repeat_right_after_a_prefetch_filled_the_set() {
+        // Core 0 streams through lines one L1 set apart, so every
+        // prefetch the stream issues lands in the set of the line it
+        // then repeats; core 1 owns some of the lines ahead, which the
+        // prefetcher must not take.
+        let sets = |m: &MachineConfig| m.caches.levels[0].num_sets(64);
+        let (tiny, paper) = (sets(&presets::tiny_test()), sets(&presets::paper48()));
+        assert_eq!(tiny, 1);
+        let mut seq = Vec::new();
+        for stride in [tiny, paper] {
+            let base = 1000 * 64;
+            for i in 0..16u64 {
+                let addr = base + i * stride * 64;
+                if i % 4 == 0 {
+                    seq.push((1, addr + 3 * stride * 64 + 32, 8, true));
+                }
+                seq.push((0, addr, 8, i % 3 == 0));
+                seq.push((0, addr + 8, 8, i % 2 == 0));
+                seq.push((0, addr + 16, 8, false));
+            }
+        }
+        for (i, (repeats, stats)) in mirror_stepwise(&seq).into_iter().enumerate() {
+            assert!(repeats >= 32, "run {i}: {repeats} repeats");
+            if i % 2 == 1 {
+                assert!(stats.per_thread[0].prefetch_issued > 0, "run {i}");
+            }
+        }
     }
 
     #[test]

@@ -179,6 +179,45 @@ mod tests {
         }
     }
 
+    /// Observing a line again straight after observing it prefetches
+    /// nothing and changes one stream's `last_used` only, on the stream
+    /// that already was the most recently used: the ticks only order
+    /// streams for eviction, so whether that second observation happens
+    /// changes no later decision. Checked after each way the first one can
+    /// go. `DenseMultiCoreSim`'s same-line repeat shortcut relies on it.
+    #[test]
+    fn second_observation_of_a_line_changes_no_decision() {
+        let check = |p: &mut StreamPrefetcher, line: u64, went: &str| {
+            observe(p, line);
+            let before = p.streams.clone();
+            assert!(observe(p, line).is_empty(), "{went}: prefetched");
+            let newest = |streams: &[Stream]| {
+                (0..streams.len())
+                    .max_by_key(|&i| streams[i].last_used)
+                    .expect("a stream")
+            };
+            let slot = newest(&before);
+            assert_eq!(newest(&p.streams), slot, "{went}: newest stream");
+            for (i, (b, a)) in before.iter().zip(&p.streams).enumerate() {
+                let used = |s: &Stream| (i != slot).then_some(s.last_used);
+                assert_eq!(
+                    (b.last_line, b.stride, b.confidence, used(b)),
+                    (a.last_line, a.stride, a.confidence, used(a)),
+                    "{went}: stream {i}"
+                );
+            }
+        };
+        let mut p = StreamPrefetcher::new(2, 2, 64);
+        check(&mut p, 100, "allocation");
+        check(&mut p, 101, "retrain");
+        check(&mut p, 102, "continuation");
+        check(&mut p, 5000, "allocation into the free slot");
+        // Full table: 9000 is too far from either stream, so it evicts the
+        // least recently used one (the unit-stride stream at 102).
+        check(&mut p, 9000, "allocation with eviction");
+        assert!(p.streams.iter().all(|s| s.last_line != 102));
+    }
+
     #[test]
     fn capacity_evicts_lru_stream() {
         let mut p = StreamPrefetcher::new(2, 1, 64);
