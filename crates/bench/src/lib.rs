@@ -12,7 +12,7 @@
 //! scales keep the *structure* (trip-count ratios, chunk sizes, thread
 //! sweep 2..48) while shrinking totals to simulator-friendly sizes.
 
-use cost_model::{machine_cost, modeled_fs_overhead, AnalysisOptions, FsPath};
+use cost_model::{machine_cost, modeled_fs_overhead, AnalysisOptions};
 use loop_ir::Kernel;
 use machine::MachineConfig;
 
@@ -136,15 +136,13 @@ struct FullModel {
     /// `LoopCost::fs_path` of the FS and the no-FS kernel, for the test
     /// that pins where the closed form engages.
     #[cfg(test)]
-    paths: (FsPath, FsPath),
+    paths: (cost_model::FsPath, cost_model::FsPath),
 }
 
-/// Full runs give the same result on every FS path, so the pair runs on
-/// the symbolic one: the closed form where a period verifies, the dense
-/// walk elsewhere.
+/// The pair runs on the default fast dispatch: the closed form where a
+/// period verifies, the dense walk elsewhere.
 fn full_model(k_fs: &Kernel, k_nfs: &Kernel, machine: &MachineConfig, threads: u32) -> FullModel {
-    let opts = AnalysisOptions::new(threads).path(FsPath::Symbolic);
-    let m = modeled_fs_overhead(k_fs, k_nfs, machine, &opts);
+    let m = modeled_fs_overhead(k_fs, k_nfs, machine, &AnalysisOptions::new(threads));
     FullModel {
         fs_cases: m.fs_loop.fs.fs_cases,
         nfs_cases: m.nfs_loop.fs.fs_cases,
@@ -353,6 +351,7 @@ pub fn sim_summary() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cost_model::FsPath;
 
     #[test]
     fn sample_runs_spans_instances_for_inner_parallel() {

@@ -1,13 +1,13 @@
 //! The paper's Tables I–III kernels at the sizes the reproduction runs
 //! (`fs_bench::scale`): the fast engines equal their oracles there. The
-//! golden tables pin the engines the reproduction runs — the symbolic FS
-//! path for full models (closed form where a period verifies, the dense
-//! walk elsewhere), the dense walk for predictions, and the optimized
-//! replay — so these are the checks that the symbolic path equals the
-//! dense walk and the optimized replay equals the reference replay at full
-//! size.
+//! golden tables pin the engines the reproduction runs — the fast FS
+//! dispatch (closed form where a period verifies, the dense walk
+//! elsewhere) and the optimized replay — so these are the checks that the
+//! closed form equals the dense walk and the optimized replay equals the
+//! reference replay at full size.
 
 use cache_sim::{simulate_kernel_prepared, SimOptions, SimPath, SimPrepared};
+use cost_model::fs::run_fs_model_dense;
 use cost_model::{analyze_loop, AnalysisOptions, FsModelConfig, FsPath};
 use fs_bench::scale;
 use loop_ir::Kernel;
@@ -52,12 +52,12 @@ fn paper_table_kernels_replay_identically() {
     }
 }
 
-/// Symbolic FS model == dense walk, field for field, at 8, 16 and 48
-/// threads and both table chunks: 18 points, run as the service runs them
-/// (`analyze_loop` with the symbolic path). The closed form answers
-/// exactly the pinned half and hands the rest to the dense walk, so a
-/// change to where it engages shows here. The 36 runs fan out over two
-/// workers.
+/// Fast FS dispatch == dense walk, field for field, at 8, 16 and 48
+/// threads and both table chunks: 18 points, the fast side run as the
+/// service runs them (`analyze_loop` on the default path). The closed
+/// form answers exactly the pinned half and hands the rest to the dense
+/// walk, so a change to where it engages shows here. The 36 runs fan out
+/// over two workers.
 #[test]
 fn paper_table_kernels_symbolic_matches_dense() {
     let machine = presets::paper48();
@@ -69,15 +69,18 @@ fn paper_table_kernels_symbolic_matches_dense() {
             }
         }
     }
-    let paths = [FsPath::Symbolic, FsPath::Optimized];
     let runs = fs_core::run_indexed(2 * points.len(), 2, |i| {
         let (_, _, threads, kernel) = &points[i / 2];
-        let mut cfg = FsModelConfig::for_machine(&machine, *threads);
-        cfg.path = paths[i % 2];
-        let mut opts = AnalysisOptions::new(*threads);
-        opts.fs_config = Some(cfg);
-        let cost = analyze_loop(kernel, &machine, &opts);
-        (cost.fs, cost.fs_path)
+        if i % 2 == 0 {
+            let cost = analyze_loop(kernel, &machine, &AnalysisOptions::new(*threads));
+            (cost.fs, cost.fs_path)
+        } else {
+            let cfg = FsModelConfig::for_machine(&machine, *threads);
+            let plan = kernel.access_plan();
+            let bases = kernel.array_bases(cfg.line_size);
+            let dense = run_fs_model_dense(kernel, &cfg, &plan, &bases);
+            (dense, FsPath::Optimized)
+        }
     });
     let mut closed_form = Vec::new();
     for ((name, chunk, threads, _), pair) in points.iter().zip(runs.chunks(2)) {

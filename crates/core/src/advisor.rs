@@ -61,7 +61,7 @@ pub fn recommend_chunk(
     let mut points = Vec::with_capacity(candidates.len());
     for &chunk in &candidates {
         let k = kernel_at_chunk(kernel, chunk);
-        let cost = evaluate_point(&k, machine, num_threads, mode, FsPath::Symbolic, &mut memo);
+        let cost = evaluate_point(&k, machine, num_threads, mode, FsPath::default(), &mut memo);
         points.push(ChunkPoint {
             chunk,
             fs_cases: cost.fs.fs_cases,

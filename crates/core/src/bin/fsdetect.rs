@@ -124,7 +124,7 @@ fn parse_args() -> Args {
         sweep_grid: None,
         workers: None,
         early_exit: false,
-        fs_path: fs_core::FsPath::Symbolic,
+        fs_path: fs_core::FsPath::default(),
         format: Format::Human,
         consts: Vec::new(),
         profile: false,

@@ -285,12 +285,11 @@ pub struct ServiceOptions {
     pub timing: bool,
     /// `NAME=VALUE` bindings applied when parsing every kernel.
     pub consts: Vec<(String, i64)>,
-    /// FS-model path for every analysis and grid point. The service
-    /// defaults to [`FsPath::Symbolic`]: in-fragment kernels with a closed
-    /// form get exact counts without walking the whole loop, the rest of
-    /// the fragment runs on the dense walk's tables at about the dense
-    /// walk's cost (see `fs.symbolic_direct`), and out-of-fragment kernels
-    /// fall back to the dense path (see `fs.symbolic_fallbacks`), all with
+    /// FS-model path for every analysis and grid point: the oracle
+    /// ([`FsPath::Reference`]) or, by default, the fast dispatch. There,
+    /// in-fragment kernels with a closed form get exact counts without
+    /// walking the whole loop, and the rest run on the dense walk (see
+    /// `fs.symbolic_direct` and `fs.symbolic_fallbacks`), all with
     /// identical counts.
     pub path: FsPath,
 }
@@ -306,7 +305,7 @@ impl Default for ServiceOptions {
             lint: true,
             timing: false,
             consts: Vec::new(),
-            path: FsPath::Symbolic,
+            path: FsPath::default(),
         }
     }
 }
@@ -1080,7 +1079,10 @@ mod tests {
         let resp = svc.handle(&histogram_request());
         assert!(!resp.has_errors());
         let doc = resp.envelope();
-        assert_eq!(doc.get("fsd_version").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(
+            doc.get("fsd_version").and_then(|v| v.as_u64()),
+            Some(FSD_VERSION)
+        );
         assert_eq!(doc.get("machine").and_then(|v| v.as_str()), Some("paper48"));
         let reports = doc.get("reports").and_then(|r| r.as_arr()).unwrap();
         assert_eq!(reports.len(), 1);

@@ -237,9 +237,11 @@ impl SweepEngine {
         self
     }
 
-    /// Set the FS-model path every grid point dispatches on. The path is
-    /// part of each point's cache identity, so engines with different paths
-    /// sharing one cache never serve each other's entries.
+    /// Set the FS-model path every grid point requests: the oracle
+    /// ([`FsPath::Reference`]) or the fast dispatch (either other value).
+    /// Only that choice is part of a point's cache identity, so an oracle
+    /// engine and a fast one sharing a cache never serve each other's
+    /// entries, while the two fast spellings share them.
     pub fn path(mut self, path: FsPath) -> Self {
         self.path = path;
         self

@@ -21,24 +21,25 @@
 //! regression predictor uses), and records the cumulative FS count at every
 //! *chunk run* boundary, the series behind Fig. 6.
 //!
-//! Three engines compute the same model, selected by
-//! [`FsModelConfig::path`]:
+//! Three engines compute the same model. [`FsModelConfig::path`] picks
+//! between the oracle and the fast dispatch; a result's
+//! [`crate::LoopCost::fs_path`] names the engine that ran:
 //!
-//! * [`FsPath::Optimized`] (the default) strength-reduces every access's
-//!   affine address into per-loop-variable byte deltas
+//! * [`FsPath::Reference`] is the direct transcription of the paper's
+//!   algorithm over hash maps. It is the executable specification: the
+//!   fast engines must produce *identical* counts, which the equivalence
+//!   tests in `tests/fs_path_equivalence.rs` enforce. It runs only when
+//!   requested.
+//! * [`FsPath::Symbolic`] derives the counts in closed form inside the
+//!   decidable affine fragment ([`crate::symbolic`]) where a period
+//!   verifies. The fast dispatch tries it first.
+//! * [`FsPath::Optimized`], the dense walk, strength-reduces every
+//!   access's affine address into per-loop-variable byte deltas
 //!   ([`loop_ir::CompiledPlan`]) and interns cache lines of the kernel's
 //!   array footprint to contiguous dense ids, so the per-access hot path is
 //!   a handful of flat array indexes (see `docs/HOTPATH.md`). It takes any
 //!   footprint: lines past the interner's identity region get overflow ids.
-//! * [`FsPath::Reference`] is the direct transcription of the paper's
-//!   algorithm over hash maps. It is the executable specification: the
-//!   optimized path must produce *identical* counts, which the equivalence
-//!   tests in `tests/fs_path_equivalence.rs` enforce.
-//! * [`FsPath::Symbolic`] derives the counts in closed form inside the
-//!   decidable affine fragment ([`crate::symbolic`]), running its period
-//!   windows on the optimized path's tables and finishing in-fragment runs
-//!   without a closed form there, and falls back to the optimized path
-//!   outside the fragment.
+//!   The fast dispatch runs it wherever no closed form verifies.
 //!
 //! Faithfulness notes:
 //! * Like the paper, the per-thread cache states are independent LRU stacks;
@@ -65,16 +66,17 @@ use std::collections::HashMap;
 /// structured error instead.
 pub const MAX_MODEL_THREADS: u32 = 64;
 
-/// Which FS-model engine to run. The engines compute the same model, so a
-/// full-loop run ([`run_fs_model`]) gives identical counts on every path.
-/// The path is still not a pure speed knob: [`crate::predict_fs`] returns
-/// exact closed-form counts on [`FsPath::Symbolic`] but a §III-E regression
-/// fit on the other two, so a predicted result depends on it.
+/// An FS-model engine. As a request ([`FsModelConfig::path`]) it means
+/// one thing: [`FsPath::Reference`] runs the oracle, and either other
+/// value runs the fast dispatch — the closed form where a period verifies,
+/// else the dense walk. As a report ([`crate::LoopCost::fs_path`]) it
+/// names the engine that ran. The engines compute the same model, so a
+/// full run ([`run_fs_model`]) and a prediction ([`crate::predict_fs`])
+/// give the same result whichever path is requested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FsPath {
-    /// Strength-reduced address streams + dense line tables (default), at
-    /// any footprint.
-    #[default]
+    /// The dense walk: strength-reduced address streams over dense line
+    /// tables, at any footprint.
     Optimized,
     /// The hash-map transcription of the paper's algorithm, kept as the
     /// executable specification for equivalence testing.
@@ -85,11 +87,10 @@ pub enum FsPath {
     /// walk's tables. In-fragment runs without a closed form — too short
     /// for the windows, no period plan, or no period verified — run on
     /// those tables too (counted by `fs.symbolic_direct`), a failed attempt
-    /// finishing in place, so this path costs about what
-    /// [`FsPath::Optimized`] costs on them. Outside the fragment, dispatch
-    /// falls back to [`FsPath::Optimized`] exactly as `fslint` falls back
-    /// to Unknown (counted by `fs.symbolic_fallbacks`). Either way the
-    /// engine that ran is what a result reports.
+    /// finishing in place. Outside the fragment the dense walk runs
+    /// instead, exactly as `fslint` falls back to Unknown (counted by
+    /// `fs.symbolic_fallbacks`). The default request.
+    #[default]
     Symbolic,
 }
 
@@ -150,9 +151,8 @@ pub struct FsModelConfig {
     /// Ablation: clear the remote Modified mark when a conflict is
     /// detected (approximating the invalidation a real protocol performs).
     pub invalidate_on_detect: bool,
-    /// Engine to run. A full run ([`run_fs_model`]) gives identical counts
-    /// on every path; a prediction ([`crate::predict_fs`]) does not, since
-    /// it is exact only on [`FsPath::Symbolic`] (see [`FsPath`]).
+    /// The oracle ([`FsPath::Reference`]) or the fast dispatch (either
+    /// other value). Results, full or predicted, do not depend on it.
     pub path: FsPath,
 }
 
@@ -559,8 +559,8 @@ pub fn run_fs_model_prepared(
 }
 
 /// [`run_fs_model_prepared`], also returning the engine that actually ran:
-/// the requested [`FsModelConfig::path`], except that a symbolic run
-/// without a closed form runs dense.
+/// the reference on request, else the closed form where a period
+/// verifies and the dense walk elsewhere.
 pub(crate) fn dispatch_fs_model(
     kernel: &Kernel,
     cfg: &FsModelConfig,
@@ -581,16 +581,21 @@ pub(crate) fn dispatch_fs_model(
             run_fs_model_reference(kernel, cfg, plan, bases),
             FsPath::Reference,
         ),
-        FsPath::Symbolic => try_symbolic(kernel, cfg, plan, bases, true).unwrap_or_else(|| {
-            (
-                run_fs_model_optimized(kernel, cfg, plan, bases),
-                FsPath::Optimized,
-            )
-        }),
-        FsPath::Optimized => (
-            run_fs_model_optimized(kernel, cfg, plan, bases),
-            FsPath::Optimized,
-        ),
+        FsPath::Optimized | FsPath::Symbolic => {
+            match crate::symbolic::run_symbolic(kernel, cfg, plan, bases) {
+                SymbolicRun::ClosedForm(r) => (r, FsPath::Symbolic),
+                SymbolicRun::Direct(r) => {
+                    fs_obs::counters::FS_SYMBOLIC_DIRECT.inc();
+                    (r, FsPath::Optimized)
+                }
+                SymbolicRun::Declined(finished) => {
+                    fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
+                    let r =
+                        finished.unwrap_or_else(|| run_fs_model_dense(kernel, cfg, plan, bases));
+                    (r, FsPath::Optimized)
+                }
+            }
+        }
     };
     record_model_run(&result, engine);
     if let Some(t) = t_run {
@@ -599,39 +604,13 @@ pub(crate) fn dispatch_fs_model(
     (result, engine)
 }
 
-/// The symbolic path's exact answer and the engine that gave it: the
-/// closed form when one verifies, else the dense walk, counted in
-/// `fs.symbolic_direct`. A decline —
-/// outside the decidable fragment or its work budget — is counted in
-/// `fs.symbolic_fallbacks` and returns `None`, unless `finish_declined` is
-/// set and the attempt had started: then the attempt finishes the run in
-/// place and returns it. Otherwise the caller picks the fallback.
-pub(crate) fn try_symbolic(
-    kernel: &Kernel,
-    cfg: &FsModelConfig,
-    plan: &AccessPlan,
-    bases: &[u64],
-    finish_declined: bool,
-) -> Option<(FsModelResult, FsPath)> {
-    match crate::symbolic::run_symbolic(kernel, cfg, plan, bases, finish_declined) {
-        SymbolicRun::ClosedForm(r) => Some((r, FsPath::Symbolic)),
-        SymbolicRun::Direct(r) => {
-            fs_obs::counters::FS_SYMBOLIC_DIRECT.inc();
-            Some((r, FsPath::Optimized))
-        }
-        SymbolicRun::Declined(finished) => {
-            fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
-            finished.map(|r| (r, FsPath::Optimized))
-        }
-    }
-}
-
 /// Account one finished model run on `engine`: `fs.model_runs`, the
 /// engine's `fs.dispatch_*` counter, and one flush of the run's totals (the
-/// hot loop never touches the registry). Every full model run passes
-/// through here exactly once, so `fs.dispatch_dense + fs.dispatch_reference
-/// + fs.dispatch_symbolic = fs.model_runs` holds by construction.
-pub(crate) fn record_model_run(result: &FsModelResult, engine: FsPath) {
+/// hot loop never touches the registry). Every model run, full or a
+/// prediction's sample, passes through here exactly once, so
+/// `fs.dispatch_dense + fs.dispatch_reference + fs.dispatch_symbolic =
+/// fs.model_runs` holds by construction.
+fn record_model_run(result: &FsModelResult, engine: FsPath) {
     fs_obs::counters::FS_MODEL_RUNS.inc();
     match engine {
         FsPath::Optimized => fs_obs::counters::FS_DISPATCH_DENSE.inc(),
@@ -731,7 +710,7 @@ fn run_fs_model_reference(
 ///   the set count is a power of two), keeping set assignment, ways and LRU
 ///   order bit-identical to [`CacheState`].
 ///
-/// Two drivers run it: the dense walk ([`run_fs_model_optimized`]) and the
+/// Two drivers run it: the dense walk ([`run_fs_model_dense`]) and the
 /// symbolic engine's period windows ([`crate::symbolic`]). Lines past the
 /// interner's identity region take overflow ids, and the id-indexed tables
 /// grow for them, so any footprint fits.
@@ -952,7 +931,12 @@ impl DenseMachine {
 /// [`DenseMachine`]. Also the landing site of symbolic declines that
 /// simulated nothing, and of the symbolic engine's hand-offs of runs too
 /// small for a window or without a period plan.
-pub(crate) fn run_fs_model_optimized(
+///
+/// Public only as the oracle that tests compare the closed form with: it
+/// runs outside the dispatcher, so it counts no model run and checks no
+/// team size.
+#[doc(hidden)]
+pub fn run_fs_model_dense(
     kernel: &Kernel,
     cfg: &FsModelConfig,
     plan: &AccessPlan,

@@ -3,9 +3,7 @@
 //! extrapolate to the whole loop, avoiding the full
 //! `All_num_of_iters / num_threads` evaluation.
 
-use crate::fs::{
-    dispatch_fs_model, record_model_run, try_symbolic, FsModelConfig, FsModelResult, FsPath,
-};
+use crate::fs::{dispatch_fs_model, FsModelConfig, FsModelResult, FsPath};
 use loop_ir::{AccessPlan, Kernel};
 
 /// Least-squares fit `y = a*x + b`.
@@ -51,8 +49,10 @@ pub fn least_squares(points: &[(f64, f64)]) -> Option<LinearFit> {
     Some(LinearFit { a, b, r2 })
 }
 
-/// Outcome of a predicted FS evaluation.
-#[derive(Debug, Clone)]
+/// Outcome of a predicted FS evaluation: always the §III-E fit over a
+/// truncated sample run. The engines count the sample identically, so the
+/// prediction is the same whichever [`FsModelConfig::path`] requested it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FsPrediction {
     /// The truncated model evaluation the fit was built from.
     pub sample: FsModelResult,
@@ -67,11 +67,6 @@ pub struct FsPrediction {
     pub chunk_runs_evaluated: u64,
     /// x_max used for the extrapolation.
     pub total_chunk_runs: u64,
-    /// `true` when the counts are *exact* — on the symbolic path the whole
-    /// loop was evaluated (in closed form or by the dense walk), so no
-    /// regression was fitted and `predicted_cases`/`predicted_events` carry
-    /// zero extrapolation error.
-    pub exact: bool,
 }
 
 impl FsPrediction {
@@ -117,8 +112,8 @@ pub fn predict_fs_prepared(
     predict_dispatch(kernel, cfg, chunk_runs, plan, bases).map(|(p, _)| p)
 }
 
-/// [`predict_fs_prepared`], also returning the engine that produced the
-/// prediction's model run (see [`crate::fs::dispatch_fs_model`]).
+/// [`predict_fs_prepared`], also returning the engine that ran the sample
+/// (see [`crate::fs::dispatch_fs_model`]).
 pub(crate) fn predict_dispatch(
     kernel: &Kernel,
     cfg: &FsModelConfig,
@@ -127,42 +122,8 @@ pub(crate) fn predict_dispatch(
     bases: &[u64],
 ) -> Option<(FsPrediction, FsPath)> {
     let _span = fs_obs::span("predict.fit");
-    // On the symbolic path, every run the engine does not decline is
-    // evaluated exactly — in closed form, or by the dense walk it hands the
-    // run to — so return those counts in place of a fit. Falls through to
-    // the sampled regression when the symbolic engine declines (outside the
-    // decidable fragment or its direct-work budget).
-    if cfg.path == FsPath::Symbolic {
-        if let Some((full, engine)) = try_symbolic(kernel, cfg, plan, bases, false) {
-            // A full model run in its own right.
-            record_model_run(&full, engine);
-            let cases = full.fs_cases as f64;
-            let x_max = full.total_chunk_runs;
-            let prediction = FsPrediction {
-                chunk_runs_evaluated: full.evaluated_chunk_runs,
-                total_chunk_runs: x_max,
-                predicted_cases: cases,
-                predicted_events: full.fs_events as f64,
-                // The exact line through the origin at the loop's mean
-                // per-run rate; predict(x_max) reproduces the exact count.
-                fit: LinearFit {
-                    a: cases / x_max.max(1) as f64,
-                    b: 0.0,
-                    r2: 1.0,
-                },
-                exact: true,
-                sample: full,
-            };
-            return Some((prediction, engine));
-        }
-    }
     fs_obs::counters::PREDICT_FITS.inc();
     let mut sample_cfg = cfg.clone();
-    if sample_cfg.path == FsPath::Symbolic {
-        // Already fell off the closed-form fragment above; sample densely
-        // rather than re-attempting (and re-counting) the fragment gate.
-        sample_cfg.path = FsPath::Optimized;
-    }
     sample_cfg.max_chunk_runs = Some(chunk_runs.max(2));
     let (sample, engine) = dispatch_fs_model(kernel, &sample_cfg, plan, bases);
     let all: Vec<(f64, f64)> = sample
@@ -190,7 +151,6 @@ pub(crate) fn predict_dispatch(
         predicted_cases: predicted,
         predicted_events,
         fit,
-        exact: false,
         sample,
     };
     Some((prediction, engine))
@@ -262,49 +222,14 @@ mod tests {
         );
     }
 
+    /// A prediction is the same fit on the oracle and on the fast path,
+    /// whichever engine runs the fast path's sample: the closed form on
+    /// heat(130,258) sampled over all its 4,096 chunk runs (shorter samples
+    /// of it are too short for the windows), the dense walk on
+    /// heat(34,258), and the dense walk after a decline on a triangular
+    /// kernel outside the fragment.
     #[test]
-    fn symbolic_path_prediction_is_exact() {
-        let k = kernels::dft(128, 256, 1);
-        let mut c = cfg(8);
-        c.path = FsPath::Symbolic;
-        let pred = predict_fs(&k, &c, 4).expect("symbolic prediction");
-        assert!(pred.exact);
-        let full = crate::fs::run_fs_model(&k, &c);
-        assert_eq!(pred.predicted_cases, full.fs_cases as f64);
-        assert_eq!(pred.predicted_events, full.fs_events as f64);
-        assert_eq!(pred.sample, full);
-        let at_xmax = pred.fit.predict(pred.total_chunk_runs as f64);
-        assert!((at_xmax - pred.predicted_cases).abs() < 1e-6);
-    }
-
-    /// On the symbolic path a prediction is exact whichever exact engine
-    /// answers — the dense walk the symbolic engine hands small and
-    /// period-free runs to, or the closed form — and a declined kernel
-    /// still gets the regression fit.
-    #[test]
-    fn symbolic_prediction_is_exact_in_both_regimes_and_fitted_outside() {
-        let mut c = cfg(8);
-        c.path = FsPath::Symbolic;
-        let mut reference = c.clone();
-        reference.path = FsPath::Reference;
-        let direct = kernels::heat_diffusion(34, 258, 1);
-        let closed_form = kernels::heat_diffusion(130, 258, 1);
-        for (k, engine) in [
-            (&direct, FsPath::Optimized),
-            (&closed_form, FsPath::Symbolic),
-        ] {
-            let plan = k.access_plan();
-            let bases = k.array_bases(c.line_size);
-            let (pred, ran) = predict_dispatch(k, &c, 4, &plan, &bases).expect("prediction");
-            assert_eq!(ran, engine, "heat {:?}", k.arrays[0].dims);
-            assert!(pred.exact);
-            let full = crate::fs::run_fs_model(k, &reference);
-            assert_eq!(pred.sample, full);
-            assert_eq!(pred.predicted_cases, full.fs_cases as f64);
-            assert_eq!(pred.predicted_events, full.fs_events as f64);
-        }
-
-        // Triangular inner bounds: outside the fragment, so fitted.
+    fn prediction_is_the_same_fit_on_every_path() {
         let tri = loop_ir::dsl::parse_kernel(
             "kernel tri {
   array A[64][64]: f64;
@@ -316,36 +241,21 @@ mod tests {
 }",
         )
         .expect("triangular kernel parses");
-        let pred = predict_fs(&tri, &c, 4).expect("regression prediction");
-        assert!(!pred.exact);
-        assert_eq!(pred.chunk_runs_evaluated, 4);
-    }
-
-    #[test]
-    fn regression_path_is_not_exact() {
-        let k = kernels::dft(128, 256, 1);
-        let pred = predict_fs(&k, &cfg(8), 96).unwrap();
-        assert!(!pred.exact);
-    }
-
-    /// Why `point_key` keeps the FS path: on the same in-fragment kernel,
-    /// `Symbolic` predicts the exact full-model count while `Optimized`
-    /// fits a regression to a truncated sample.
-    #[test]
-    fn path_decides_exact_or_fitted_prediction() {
-        let k = kernels::heat_diffusion(34, 258, 1);
-        let mut c = cfg(8);
-        c.path = FsPath::Symbolic;
-        let exact = predict_fs(&k, &c, 8).expect("symbolic prediction");
-        assert!(exact.exact);
-        assert_eq!(
-            exact.predicted_cases,
-            crate::fs::run_fs_model(&k, &c).fs_cases as f64
-        );
-        c.path = FsPath::Optimized;
-        let fitted = predict_fs(&k, &c, 8).expect("regression prediction");
-        assert!(!fitted.exact);
-        assert_ne!(fitted.predicted_cases, exact.predicted_cases);
+        let mut reference = cfg(8);
+        reference.path = FsPath::Reference;
+        for (k, runs, engine) in [
+            (kernels::heat_diffusion(130, 258, 1), 4096, FsPath::Symbolic),
+            (kernels::heat_diffusion(34, 258, 1), 8, FsPath::Optimized),
+            (tri, 4, FsPath::Optimized),
+        ] {
+            let plan = k.access_plan();
+            let bases = k.array_bases(reference.line_size);
+            let (fast, ran) = predict_dispatch(&k, &cfg(8), runs, &plan, &bases).expect("fit");
+            assert_eq!(ran, engine, "{}: sample engine", k.name);
+            let oracle = predict_fs(&k, &reference, runs).expect("fit");
+            assert_eq!(fast, oracle, "{}: prediction depends on the path", k.name);
+            assert_eq!(fast.chunk_runs_evaluated, runs, "{}", k.name);
+        }
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl EarlyExit {
         // Cheap probe: learn x_max (total chunk runs) from a minimal sample.
         let probe =
             predict_fs_prepared(kernel, cfg, self.min_runs.max(2), &prep.plan, &prep.bases)?;
-        if probe.exact {
-            // The probe already ran the whole loop (the symbolic path's
-            // exact answer): no sample can be cheaper than the full model.
-            return None;
-        }
         let total = probe.total_chunk_runs;
         let outer = kernel.nest.outer_iters().unwrap_or(1).max(1);
         let per_instance = (total / outer).max(1);
@@ -564,12 +559,12 @@ pub fn prepared_key(kernel: &Kernel, machine: &MachineConfig) -> String {
 
 /// The content fingerprint identifying one grid point's full result.
 ///
-/// The requested FS-model path is part of the identity because it changes
-/// the value of a predicted point: [`crate::predict_fs`] returns exact
-/// closed-form counts on [`FsPath::Symbolic`] but a regression fit on
-/// [`FsPath::Optimized`] and [`FsPath::Reference`]. It also keeps the
-/// reported [`crate::LoopCost::fs_path`] true to the request that computed
-/// the entry.
+/// Counts, full or predicted, do not depend on the requested FS-model
+/// path, so the key records only whether the request was the oracle
+/// ([`FsPath::Reference`]): that keeps the reported
+/// [`crate::LoopCost::fs_path`] true to the engine that ran, while
+/// [`FsPath::Optimized`] and [`FsPath::Symbolic`] requests, which run the
+/// same fast dispatch, share one entry.
 pub fn point_key(
     kernel: &Kernel,
     machine: &MachineConfig,
@@ -578,12 +573,16 @@ pub fn point_key(
     path: FsPath,
 ) -> String {
     format!(
-        "{}|{}|t{}|{}|p{}",
+        "{}|{}|t{}|{}|{}",
         fingerprint(kernel),
         fingerprint(machine),
         threads,
         fingerprint(mode),
-        path
+        if path == FsPath::Reference {
+            "reference"
+        } else {
+            "fast"
+        }
     )
 }
 
@@ -719,20 +718,20 @@ mod tests {
     }
 
     #[test]
-    fn fs_path_participates_in_point_identity() {
+    fn fast_requests_share_an_entry_and_the_oracle_does_not() {
         let mut memo = MemoCache::new();
         // Large enough for the symbolic engine's closed form to engage.
         let k = kernel_at_chunk(&kernels::heat_diffusion(130, 258, 1), 1);
         let m = presets::paper48();
-        let dense = evaluate_point(&k, &m, 8, EvalMode::Full, FsPath::Optimized, &mut memo);
         let symbolic = evaluate_point(&k, &m, 8, EvalMode::Full, FsPath::Symbolic, &mut memo);
-        assert_eq!(memo.hits(), 0, "different path must never share an entry");
-        assert_eq!(dense.fs.fs_cases, symbolic.fs.fs_cases);
-        assert_eq!(dense.fs_path, FsPath::Optimized);
-        assert_eq!(symbolic.fs_path, FsPath::Symbolic);
-        // Same path again is a hit.
-        evaluate_point(&k, &m, 8, EvalMode::Full, FsPath::Symbolic, &mut memo);
-        assert_eq!(memo.hits(), 1);
+        let optimized = evaluate_point(&k, &m, 8, EvalMode::Full, FsPath::Optimized, &mut memo);
+        assert_eq!(memo.hits(), 1, "both fast spellings share one entry");
+        assert_eq!(optimized.fs_path, FsPath::Symbolic);
+        assert_eq!(optimized.fs, symbolic.fs);
+        let reference = evaluate_point(&k, &m, 8, EvalMode::Full, FsPath::Reference, &mut memo);
+        assert_eq!(memo.hits(), 1, "the oracle gets an entry of its own");
+        assert_eq!(reference.fs_path, FsPath::Reference);
+        assert_eq!(reference.fs, symbolic.fs);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The [`crate::fs::FsPath::Symbolic`] evaluation path: closed-form
+//! The [`crate::fs::FsPath::Symbolic`] engine: closed-form
 //! false-sharing counts inside the decidable affine fragment.
 //!
 //! The walking paths spend `O(steps × threads × accesses)` per model run.
@@ -44,7 +44,7 @@
 //! interns the result, so region lines past the interner's identity
 //! region shift like any other.
 
-use crate::fs::{run_fs_model_optimized, set_geometry, DenseMachine, FsModelConfig, FsModelResult};
+use crate::fs::{run_fs_model_dense, set_geometry, DenseMachine, FsModelConfig, FsModelResult};
 use crate::lint::gcd;
 use cache_sim::lru::DenseSetLists;
 use loop_ir::schedule::ChunkSchedule;
@@ -86,8 +86,8 @@ pub(crate) enum SymbolicRun {
     /// verified and the attempt finished in place.
     Direct(FsModelResult),
     /// Outside the fragment, or the work left after a failed attempt
-    /// exceeds `DIRECT_WORK_LIMIT`. Carries the finished run when the
-    /// caller asked for one and an attempt had started.
+    /// exceeds `DIRECT_WORK_LIMIT`. Carries the run, finished in place,
+    /// when an attempt had started.
     Declined(Option<FsModelResult>),
 }
 
@@ -112,23 +112,14 @@ impl Tuning {
 }
 
 /// Closed-form evaluation of the FS model. A declined run that had started
-/// its windows is finished in place when `finish_declined` is set (a full
-/// model run wants the counts; a predictor falls back to its fit instead).
+/// its windows is finished in place.
 pub(crate) fn run_symbolic(
     kernel: &Kernel,
     cfg: &FsModelConfig,
     plan: &AccessPlan,
     bases: &[u64],
-    finish_declined: bool,
 ) -> SymbolicRun {
-    run_tuned(
-        kernel,
-        cfg,
-        plan,
-        bases,
-        finish_declined,
-        Tuning::PRODUCTION,
-    )
+    run_tuned(kernel, cfg, plan, bases, Tuning::PRODUCTION)
 }
 
 fn run_tuned(
@@ -136,7 +127,6 @@ fn run_tuned(
     cfg: &FsModelConfig,
     plan: &AccessPlan,
     bases: &[u64],
-    finish_declined: bool,
     tuning: Tuning,
 ) -> SymbolicRun {
     let _span = fs_obs::span("fs.symbolic");
@@ -203,7 +193,7 @@ fn run_tuned(
     // budget: hand it to the dense walk, or decline.
     let walk = || {
         if direct_work <= DIRECT_WORK_LIMIT {
-            SymbolicRun::Direct(run_fs_model_optimized(kernel, cfg, plan, bases))
+            SymbolicRun::Direct(run_fs_model_dense(kernel, cfg, plan, bases))
         } else {
             SymbolicRun::Declined(None)
         }
@@ -286,7 +276,6 @@ fn run_tuned(
         target,
         per_step_work,
         window,
-        finish_declined,
     };
     let footprint_lines = if tuning.overflow_ids {
         0
@@ -501,12 +490,11 @@ struct Attempt<'a> {
     per_step_work: u64,
     /// Lockstep steps between window boundaries.
     window: u64,
-    finish_declined: bool,
 }
 
 impl Attempt<'_> {
     /// Run the windows on `machine`; when no period verifies, finish the
-    /// run in place (or stop, for a decline the caller does not finish).
+    /// run in place.
     fn run(self, machine: DenseMachine, mut result: FsModelResult) -> SymbolicRun {
         let num_threads = result.per_thread_cases.len();
         let mut sim = Sim {
@@ -544,9 +532,6 @@ impl Attempt<'_> {
         // The decline rule counts the work left after the failed attempt.
         let declined =
             (self.target - sim.cur).saturating_mul(self.per_step_work) > DIRECT_WORK_LIMIT;
-        if declined && !self.finish_declined {
-            return SymbolicRun::Declined(None);
-        }
         // The simulated steps are a valid prefix of the run.
         sim.run_to(self.target, &mut result);
         sim.machine.finish(&mut result);
@@ -1149,7 +1134,7 @@ mod tests {
                 CASES.fetch_add(1, Ordering::Relaxed);
                 for (m, overflow_ids) in [false, true].into_iter().enumerate() {
                     let tuning = Tuning { size_floor: false, overflow_ids };
-                    let got = match run_tuned(&k, &cfg, &plan, &bases, true, tuning) {
+                    let got = match run_tuned(&k, &cfg, &plan, &bases, tuning) {
                         SymbolicRun::ClosedForm(r) => {
                             EXTRAPOLATED[m].fetch_add(1, Ordering::Relaxed);
                             r

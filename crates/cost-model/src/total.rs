@@ -26,15 +26,15 @@ pub struct LoopCost {
     pub tlb: TlbCost,
     pub overhead: OverheadCost,
     pub fs: FsModelResult,
-    /// The FS-model engine that actually produced [`Self::fs`]: the
-    /// requested path ([`AnalysisOptions::fs_path`] /
-    /// [`FsModelConfig::path`]), except that a symbolic request answered
-    /// without a closed form (outside the decidable fragment, or exact on
-    /// the dense tables inside it) reports `Optimized`.
+    /// The FS-model engine that actually produced [`Self::fs`] (for a
+    /// prediction, its sample): `Reference` when the oracle was requested
+    /// ([`AnalysisOptions::fs_path`] / [`FsModelConfig::path`]), else
+    /// `Symbolic` where the closed form answered and `Optimized` where the
+    /// dense walk did. A report, not the request.
     pub fs_path: FsPath,
     /// Total FS cases predicted by the §III-E predictor when
-    /// [`AnalysisOptions::predict_chunk_runs`] produced a prediction (exact
-    /// on the symbolic path); `None` for a full model run.
+    /// [`AnalysisOptions::predict_chunk_runs`] produced a prediction (the
+    /// same fit on every path); `None` for a full model run.
     pub fs_predicted_cases: Option<f64>,
     /// Innermost iterations on the critical path (per thread).
     pub iters_per_thread: f64,
@@ -119,8 +119,8 @@ impl AnalysisOptions {
         self
     }
 
-    /// Dispatch the FS model on `path` (symbolic / optimized / reference),
-    /// overriding the config default.
+    /// Request the FS-model oracle (`Reference`) or the fast dispatch
+    /// (`Symbolic` or `Optimized`), overriding the config default.
     pub fn path(mut self, path: FsPath) -> Self {
         self.fs_path = Some(path);
         self
@@ -128,8 +128,8 @@ impl AnalysisOptions {
 
     /// The FS-model path these options resolve to: the explicit
     /// [`Self::fs_path`] override if set, else the [`Self::fs_config`]
-    /// override's path, else the workspace default. This is the value that
-    /// participates in sweep/service point identity.
+    /// override's path, else the workspace default. Whether it is the
+    /// oracle is what participates in sweep/service point identity.
     pub fn resolved_fs_path(&self) -> FsPath {
         self.fs_path
             .unwrap_or_else(|| self.fs_config.as_ref().map(|c| c.path).unwrap_or_default())

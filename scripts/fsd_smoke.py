@@ -3,10 +3,13 @@
 
 Starts nothing itself: point it at a live daemon's socket. Sends a ping, a
 cold analyze+grid request over the bundled corpus, the same request again
-(which must be served warm), and a stats query; verifies the envelope
-shape, that the two analysis responses are byte-identical modulo the memo
-tallies (run 2 all hits), and that the cache reports zero evictions-free
-growth anomalies. Exits non-zero on any violation.
+(which must be served warm), the same request a third time spelled with
+`"path": "optimized"` (the other name of the default fast path, so it
+must share the cache entries: all hits, same results), and a stats query;
+verifies the envelope shape, that the analysis responses are
+byte-identical modulo the memo tallies (runs 2 and 3 all hits), and that
+the cache reports zero evictions-free growth anomalies. Exits non-zero on
+any violation.
 
 When the daemon also serves the HTTP fallback, pass its address as a
 second argument: the script then scrapes `GET /metrics` before and after
@@ -111,12 +114,22 @@ def main() -> int:
         "warm grid results diverge from cold run"
     )
 
+    optimized = round_trip(path, {**request, "path": "optimized"})
+    fast = optimized["sweep_grid"]
+    assert fast["memo_misses"] == 0, (
+        f'"path": "optimized" recomputed {fast["memo_misses"]} points - '
+        "the fast path spellings do not share the cache"
+    )
+    assert fast["results"] == cold["sweep_grid"]["results"], (
+        '"path": "optimized" grid results diverge from cold run'
+    )
+
     stats = round_trip(path, {"cmd": "stats"})
     cache = stats["cache"]
     assert cache["entries"] > 0 and cache["bytes"] > 0, cache
     assert cache["hits"] > 0, "no recorded cache hits after a warm run"
     assert stats["uptime_s"] >= 0, stats
-    assert stats["commands"]["analyze"] >= 2, stats["commands"]
+    assert stats["commands"]["analyze"] >= 3, stats["commands"]
 
     scraped = ""
     if http_addr:

@@ -213,17 +213,20 @@ fn ignored_sim_workers_field_leaves_the_envelope_unchanged() {
 
 #[test]
 fn analytic_path_alias_gets_the_symbolic_envelope() {
-    // `"analytic"` names a removed FS path; it parses as `"symbolic"`, so
-    // old clients get the same bytes as a symbolic request.
+    // Every fast spelling runs the same dispatch: `"optimized"` and its
+    // alias `"dense"`, and `"analytic"`, which names a removed FS path and
+    // parses as `"symbolic"`. Each gets the same bytes as a symbolic
+    // request, from a server of its own.
     let plain = analyze_request(&["@histogram", "@heat"], true);
     let with_path = |p: &str| parse(&plain).unwrap().field("path", p).render();
-    let (a, b) = (TestServer::start(), TestServer::start());
-    assert_eq!(
-        b.round_trip(&with_path("analytic")),
-        a.round_trip(&with_path("symbolic"))
-    );
-    a.stop();
-    b.stop();
+    let symbolic = TestServer::start();
+    let want = symbolic.round_trip(&with_path("symbolic"));
+    symbolic.stop();
+    for alias in ["optimized", "dense", "analytic"] {
+        let server = TestServer::start();
+        assert_eq!(server.round_trip(&with_path(alias)), want, "path {alias}");
+        server.stop();
+    }
 }
 
 #[test]
@@ -295,7 +298,10 @@ fn over_long_socket_line_gets_one_error_then_the_connection_closes() {
     let mut line = String::new();
     reader.read_line(&mut line).expect("one error envelope");
     let v = parse(line.trim()).expect("error envelope is JSON");
-    assert_eq!(v.get("fsd_version").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(
+        v.get("fsd_version").and_then(|v| v.as_u64()),
+        Some(fs_core::FSD_VERSION)
+    );
     assert!(
         v.get("error")
             .and_then(|e| e.as_str())
@@ -422,7 +428,10 @@ fn http_fallback_rejects_malformed_and_oversized_requests() {
     ));
     assert!(head.starts_with("HTTP/1.1 400"), "got: {head}");
     let v = parse(body.trim()).expect("400 body is JSON");
-    assert_eq!(v.get("fsd_version").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(
+        v.get("fsd_version").and_then(|v| v.as_u64()),
+        Some(fs_core::FSD_VERSION)
+    );
     assert!(
         v.get("error")
             .and_then(|e| e.as_str())

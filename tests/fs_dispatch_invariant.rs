@@ -1,12 +1,12 @@
-//! The FS model's three-way dispatch invariant: every full model run is
-//! answered by exactly one engine, so `fs.dispatch_dense +
-//! fs.dispatch_reference + fs.dispatch_symbolic == fs.model_runs`, whether
-//! the run came from the dispatcher or from the predictor's symbolic
-//! short-circuit. Every [`FsPath::Symbolic`] attempt ends in exactly one
-//! of three ways — a closed form (`fs.dispatch_symbolic`), an exact run on
-//! the dense tables without one (`fs.symbolic_direct`), or a decline
-//! outside the decidable fragment (`fs.symbolic_fallbacks`) — and
-//! `LoopCost::fs_path` names the engine that answered, at any footprint.
+//! The FS model's three-way dispatch invariant: every model run, full or a
+//! prediction's sample, is answered by exactly one engine, so
+//! `fs.dispatch_dense + fs.dispatch_reference + fs.dispatch_symbolic ==
+//! fs.model_runs`. A request is the oracle ([`FsPath::Reference`]) or the
+//! fast dispatch, and every fast run ends in exactly one of three ways — a
+//! closed form (`fs.dispatch_symbolic`), an exact run on the dense tables
+//! without one (`fs.symbolic_direct`), or a decline outside the decidable
+//! fragment (`fs.symbolic_fallbacks`) — and `LoopCost::fs_path` names the
+//! engine that answered, at any footprint.
 //! Only a closed form applies steps in closed form
 //! (`fs.symbolic_extrapolated_steps`).
 //!
@@ -136,17 +136,23 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
             (oversized_kernel(), Regime::Direct),
         ]);
 
-    let mut symbolic_attempts = 0u64;
-    for (kernel, regime) in kernels {
+    let mut fast_runs = 0u64;
+    for (kernel, full_regime) in kernels {
         for predict in [None, Some(4)] {
-            for path in [FsPath::Optimized, FsPath::Reference, FsPath::Symbolic] {
+            // A four-run sample is too short for the windows, so a kernel
+            // with a closed form samples on the dense tables.
+            let regime = match (predict, full_regime) {
+                (Some(_), Regime::ClosedForm) => Regime::Direct,
+                _ => full_regime,
+            };
+            for path in [FsPath::Reference, FsPath::Symbolic] {
                 let ctx = format!("kernel={} predict={predict:?} path={path:?}", kernel.name);
                 let mut opts = AnalysisOptions::new(4).path(path);
                 opts.predict_chunk_runs = predict;
                 let before = tallies();
                 let cost = analyze_loop(&kernel, &machine, &opts);
                 let after = tallies();
-                symbolic_attempts += u64::from(path == FsPath::Symbolic);
+                fast_runs += u64::from(path != FsPath::Reference);
 
                 assert!(
                     after.model_runs > before.model_runs,
@@ -159,11 +165,11 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
                 );
                 assert_eq!(
                     after.symbolic + after.direct + after.fallbacks,
-                    symbolic_attempts,
+                    fast_runs,
                     "{ctx}: dispatch_symbolic + symbolic_direct + symbolic_fallbacks \
-                     != symbolic attempts"
+                     != fast runs"
                 );
-                let outcome = |r| path == FsPath::Symbolic && regime == r;
+                let outcome = |r| path != FsPath::Reference && regime == r;
                 assert_eq!(
                     after.symbolic > before.symbolic,
                     outcome(Regime::ClosedForm),
@@ -185,8 +191,8 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
                     "{ctx}: symbolic_extrapolated_steps must move exactly with dispatch_symbolic"
                 );
                 let engine = match path {
-                    FsPath::Symbolic if regime == Regime::ClosedForm => FsPath::Symbolic,
                     FsPath::Reference => FsPath::Reference,
+                    _ if regime == Regime::ClosedForm => FsPath::Symbolic,
                     _ => FsPath::Optimized,
                 };
                 assert_eq!(cost.fs_path, engine, "{ctx}: wrong engine reported");
@@ -194,29 +200,38 @@ fn every_model_run_takes_exactly_one_of_three_engines() {
         }
     }
 
-    // Past the identity cap the fast engines still give the reference's
-    // counts, field for field.
+    // Past the identity cap the fast dispatch and the dense walk still give
+    // the reference's counts, field for field.
     let oversized = oversized_kernel();
     let cfg = |path| fs_core::FsModelConfig {
         path,
         ..fs_core::FsModelConfig::for_machine(&machine, 4)
     };
     let want = fs_core::run_fs_model(&oversized, &cfg(FsPath::Reference));
-    for path in [FsPath::Optimized, FsPath::Symbolic] {
-        assert_eq!(
-            fs_core::run_fs_model(&oversized, &cfg(path)),
-            want,
-            "oversized kernel on {path}"
-        );
-    }
+    assert_eq!(
+        fs_core::run_fs_model(&oversized, &cfg(FsPath::Symbolic)),
+        want,
+        "oversized kernel on the fast dispatch"
+    );
+    let dense_cfg = cfg(FsPath::Symbolic);
+    let plan = oversized.access_plan();
+    let bases = oversized.array_bases(dense_cfg.line_size);
+    assert_eq!(
+        cost_model::fs::run_fs_model_dense(&oversized, &dense_cfg, &plan, &bases),
+        want,
+        "oversized kernel on the dense walk"
+    );
     obs::configure(obs::ObsConfig::disabled());
 }
 
-/// An early-exit grid point on [`FsPath::Symbolic`] runs the full model
-/// twice: once as the probe, whose exact answer ends the search for a
-/// sample size, and once for the point itself.
+/// An early-exit grid point runs at most one full-length model, on either
+/// spelling of the fast path. Every prediction (`predict.fits`) runs
+/// exactly one sample, so the model runs beyond the fits are full-length:
+/// the point's own full run, when the probe finds the loop too short to
+/// sample. The probe itself is a sample, never a full run whose answer is
+/// thrown away.
 #[test]
-fn early_exit_point_on_symbolic_runs_the_model_twice() {
+fn early_exit_point_runs_at_most_one_full_model() {
     let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     obs::configure(obs::ObsConfig::enabled());
     let machine = presets::paper48();
@@ -226,31 +241,28 @@ fn early_exit_point_on_symbolic_runs_the_model_twice() {
     ];
     for kernel in kernels {
         let kernel = kernel_at_chunk(&kernel, 1);
-        let mode = EvalMode::EarlyExit(EarlyExit::default());
-        let before = counters::FS_MODEL_RUNS.get();
-        let point = evaluate_point(
-            &kernel,
-            &machine,
-            8,
-            mode,
-            FsPath::Symbolic,
-            &mut MemoCache::new(),
-        );
-        let runs = counters::FS_MODEL_RUNS.get() - before;
-        assert_eq!(
-            runs, 2,
-            "{}: full model runs per early-exit point",
-            kernel.name
-        );
-
-        let mut opts = AnalysisOptions::new(8).path(FsPath::Symbolic);
-        opts.predict_chunk_runs = None;
-        let full = analyze_loop(&kernel, &machine, &opts);
-        assert_eq!(
-            point.fs, full.fs,
-            "{}: early exit changed the counts",
-            kernel.name
-        );
+        let full = analyze_loop(&kernel, &machine, &AnalysisOptions::new(8));
+        for path in [FsPath::Symbolic, FsPath::Optimized] {
+            let ctx = format!("{} on {path}", kernel.name);
+            let mode = EvalMode::EarlyExit(EarlyExit::default());
+            let (runs, fits) = (counters::FS_MODEL_RUNS.get(), counters::PREDICT_FITS.get());
+            let point = evaluate_point(&kernel, &machine, 8, mode, path, &mut MemoCache::new());
+            let fits = counters::PREDICT_FITS.get() - fits;
+            let full_runs = counters::FS_MODEL_RUNS.get() - runs - fits;
+            assert!(
+                full_runs <= 1,
+                "{ctx}: {full_runs} full-length model runs for one early-exit point"
+            );
+            assert!(fits >= 1, "{ctx}: no probe fit");
+            if full_runs == 1 {
+                assert_eq!(point.fs, full.fs, "{ctx}: full run differs");
+            } else {
+                assert!(
+                    point.fs.evaluated_chunk_runs < full.fs.evaluated_chunk_runs,
+                    "{ctx}: a sample covered the whole loop"
+                );
+            }
+        }
     }
     obs::configure(obs::ObsConfig::disabled());
 }
@@ -307,14 +319,16 @@ fn closed_form_matches_dense_walk_on_large_kernels() {
     obs::configure(obs::ObsConfig::enabled());
     let cfg = fs_core::FsModelConfig::for_machine(&presets::paper48(), 8);
     let kernels = large_kernels(16384, 1 << 18, 65536);
-    let paths = [FsPath::Symbolic, FsPath::Optimized];
     let closed_forms = counters::FS_DISPATCH_SYMBOLIC.get();
     let results = fs_core::run_indexed(2 * kernels.len(), 2, |i| {
-        let cfg = fs_core::FsModelConfig {
-            path: paths[i % 2],
-            ..cfg.clone()
-        };
-        fs_core::run_fs_model(&kernels[i / 2], &cfg)
+        let kernel = &kernels[i / 2];
+        if i % 2 == 0 {
+            fs_core::run_fs_model(kernel, &cfg)
+        } else {
+            let plan = kernel.access_plan();
+            let bases = kernel.array_bases(cfg.line_size);
+            cost_model::fs::run_fs_model_dense(kernel, &cfg, &plan, &bases)
+        }
     });
     assert_eq!(
         counters::FS_DISPATCH_SYMBOLIC.get(),

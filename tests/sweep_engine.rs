@@ -279,7 +279,12 @@ fn point_keys_are_content_fingerprints() {
     );
     assert_ne!(
         key,
-        point_key(&k, &m, 8, &EvalMode::Full, fs_core::FsPath::Symbolic)
+        point_key(&k, &m, 8, &EvalMode::Full, fs_core::FsPath::Reference)
+    );
+    // Both fast spellings of the path are one coordinate value.
+    assert_eq!(
+        key,
+        point_key(&k, &m, 8, &EvalMode::Full, fs_core::FsPath::Optimized)
     );
     assert_ne!(
         key,
