@@ -31,8 +31,9 @@
 //! exactly as the reference path computes it.
 //!
 //! The mirror is behavioral, not just statistical: the per-set LRU
-//! ([`DenseSetLru`] vs [`crate::lru::LruCache`]) is proptested
-//! operation-identical, the same [`StreamPrefetcher`] observes the same
+//! ([`DenseSetLru`] vs [`crate::lru::LruCache`]) is checked
+//! operation-identical by the xorshift churn test
+//! `dense_matches_lru_cache_under_churn`, the same [`StreamPrefetcher`] observes the same
 //! demand stream, and every stall/stat update happens under the same
 //! conditions in the same order — so the final [`SimStats`] are
 //! bit-identical to the reference path (enforced by

@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn paths_agree_on_representative_kernels() {
-        // The proptest oracle lives in tests/sim_path_equivalence.rs; this
+        // The differential oracle lives in tests/sim_path_equivalence.rs; this
         // is the fast in-crate smoke check over both interleave extremes.
         let m = presets::paper48();
         for k in [

@@ -1011,7 +1011,22 @@ mod tests {
     use loop_ir::kernels;
     use machine::presets;
 
+    /// Each engine on its own, through [`run`]: the dense walk, the oracle
+    /// and the fast dispatch.
     const PATHS: [FsPath; 3] = [FsPath::Optimized, FsPath::Reference, FsPath::Symbolic];
+
+    /// Run `c.path`'s engine alone. `Optimized`, the name a result reports
+    /// for the dense walk, runs the dense walk without the closed form in
+    /// front of it; `Symbolic` runs the fast dispatch and `Reference` the
+    /// oracle.
+    fn run(k: &Kernel, c: &FsModelConfig) -> FsModelResult {
+        match c.path {
+            FsPath::Optimized => {
+                run_fs_model_dense(k, c, &k.access_plan(), &k.array_bases(c.line_size))
+            }
+            _ => run_fs_model(k, c),
+        }
+    }
 
     fn cfg(threads: u32) -> FsModelConfig {
         FsModelConfig::for_machine(&presets::paper48(), threads)
@@ -1027,7 +1042,7 @@ mod tests {
     fn no_false_sharing_on_single_thread() {
         for path in PATHS {
             let k = kernels::heat_diffusion(18, 18, 1);
-            let r = run_fs_model(&k, &cfg_path(1, path));
+            let r = run(&k, &cfg_path(1, path));
             assert_eq!(r.fs_cases, 0);
             assert_eq!(r.iterations, 16 * 16);
         }
@@ -1037,7 +1052,7 @@ mod tests {
     fn chunk1_produces_heavy_false_sharing() {
         for path in PATHS {
             let k = kernels::transpose(32, 32, 1);
-            let r = run_fs_model(&k, &cfg_path(8, path));
+            let r = run(&k, &cfg_path(8, path));
             assert!(r.fs_cases > 500, "cases = {}", r.fs_cases);
             assert!(r.true_sharing_cases == 0);
             assert_eq!(r.iterations, 32 * 32);
@@ -1049,7 +1064,7 @@ mod tests {
         for path in PATHS {
             let mk = |chunk| {
                 let k = kernels::transpose(64, 64, chunk);
-                run_fs_model(&k, &cfg_path(8, path)).fs_cases
+                run(&k, &cfg_path(8, path)).fs_cases
             };
             let c1 = mk(1);
             let c8 = mk(8);
@@ -1063,8 +1078,8 @@ mod tests {
     #[test]
     fn padded_layout_eliminates_false_sharing() {
         for path in PATHS {
-            let packed = run_fs_model(&kernels::dotprod_partials(8, 64, false), &cfg_path(8, path));
-            let padded = run_fs_model(&kernels::dotprod_partials(8, 64, true), &cfg_path(8, path));
+            let packed = run(&kernels::dotprod_partials(8, 64, false), &cfg_path(8, path));
+            let padded = run(&kernels::dotprod_partials(8, 64, true), &cfg_path(8, path));
             assert!(packed.fs_cases > 100, "{}", packed.fs_cases);
             assert_eq!(padded.fs_cases, 0);
         }
@@ -1074,7 +1089,7 @@ mod tests {
     fn per_line_cases_identify_the_victim_array() {
         for path in PATHS {
             let k = kernels::dotprod_partials(4, 64, false);
-            let r = run_fs_model(&k, &cfg_path(4, path));
+            let r = run(&k, &cfg_path(4, path));
             let bases = k.array_bases(64);
             let partial_base_line = bases[2] / 64; // x, y, partial
             let top = r.top_lines(1);
@@ -1086,7 +1101,7 @@ mod tests {
     fn series_is_monotonic_and_roughly_linear() {
         for path in PATHS {
             let k = kernels::dft(64, 256, 1);
-            let r = run_fs_model(&k, &cfg_path(8, path));
+            let r = run(&k, &cfg_path(8, path));
             assert!(r.series.len() >= 8, "series: {:?}", r.series.len());
             for w in r.series.windows(2) {
                 assert!(w[1].1 >= w[0].1, "cumulative count must not decrease");
@@ -1111,9 +1126,9 @@ mod tests {
             let k = kernels::dft(64, 256, 1);
             let mut c = cfg_path(8, path);
             c.max_chunk_runs = Some(5);
-            let r = run_fs_model(&k, &c);
+            let r = run(&k, &c);
             assert_eq!(r.evaluated_chunk_runs, 5);
-            let full = run_fs_model(&k, &cfg_path(8, path));
+            let full = run(&k, &cfg_path(8, path));
             assert!(r.fs_cases < full.fs_cases);
             assert_eq!(r.total_chunk_runs, full.total_chunk_runs);
         }
@@ -1124,11 +1139,11 @@ mod tests {
         for path in PATHS {
             // Inner-parallel (heat): x_max = outer * ceil(trip_p / (T*C)).
             let k = kernels::heat_diffusion(18, 66, 1);
-            let r = run_fs_model(&k, &cfg_path(8, path));
+            let r = run(&k, &cfg_path(8, path));
             assert_eq!(r.total_chunk_runs, 16 * 8); // 16 outer, 64/(8*1) runs
                                                     // Outer-parallel (linreg): x_max = ceil(n / (T*C)).
             let k2 = kernels::linear_regression(96, 8, 1);
-            let r2 = run_fs_model(&k2, &cfg_path(8, path));
+            let r2 = run(&k2, &cfg_path(8, path));
             assert_eq!(r2.total_chunk_runs, 96 / 8);
         }
     }
@@ -1148,13 +1163,13 @@ mod tests {
                 loop_ir::Expr::num(1.0),
             ));
             let k = b.build();
-            let r = run_fs_model(&k, &cfg_path(4, path));
+            let r = run(&k, &cfg_path(4, path));
             assert_eq!(r.fs_cases, 0, "same-byte conflicts are true sharing");
             assert!(r.true_sharing_cases > 50);
             // With line-granularity counting (the paper's), they'd be counted.
             let mut c = cfg_path(4, path);
             c.count_true_sharing = true;
-            let r2 = run_fs_model(&k, &c);
+            let r2 = run(&k, &c);
             assert_eq!(r2.fs_cases, r.true_sharing_cases);
         }
     }
@@ -1163,10 +1178,10 @@ mod tests {
     fn invalidate_on_detect_reduces_counts() {
         for path in PATHS {
             let k = kernels::dft(32, 128, 1);
-            let base = run_fs_model(&k, &cfg_path(8, path));
+            let base = run(&k, &cfg_path(8, path));
             let mut c = cfg_path(8, path);
             c.invalidate_on_detect = true;
-            let inv = run_fs_model(&k, &c);
+            let inv = run(&k, &c);
             assert!(
                 inv.fs_cases <= base.fs_cases,
                 "invalidate {} vs base {}",
@@ -1182,10 +1197,10 @@ mod tests {
             // The paper's §III-C claim: a fully-associative stack is a valid
             // stand-in for a highly-associative cache. Counts should be close.
             let k = kernels::dft(32, 256, 1);
-            let full = run_fs_model(&k, &cfg_path(8, path));
+            let full = run(&k, &cfg_path(8, path));
             let mut sa = cfg_path(8, path);
             sa.stack_sets = 64; // 1024 lines / 64 sets = 16-way
-            let set_r = run_fs_model(&k, &sa);
+            let set_r = run(&k, &sa);
             let ratio = set_r.fs_cases as f64 / full.fs_cases.max(1) as f64;
             assert!(
                 (0.8..=1.25).contains(&ratio),
@@ -1197,7 +1212,7 @@ mod tests {
             let mut dm = cfg_path(4, path);
             dm.stack_lines = 8;
             dm.stack_sets = 1024;
-            let r = run_fs_model(&kernels::stencil1d(66, 1), &dm);
+            let r = run(&kernels::stencil1d(66, 1), &dm);
             assert!(r.iterations > 0);
         }
     }
@@ -1206,7 +1221,7 @@ mod tests {
     fn per_thread_cases_sum_to_total() {
         for path in PATHS {
             let k = kernels::transpose(32, 32, 1);
-            let r = run_fs_model(&k, &cfg_path(8, path));
+            let r = run(&k, &cfg_path(8, path));
             assert_eq!(r.per_thread_cases.iter().sum::<u64>(), r.fs_cases);
             assert_eq!(r.per_line_cases.values().sum::<u64>(), r.fs_cases);
         }
@@ -1230,11 +1245,11 @@ mod tests {
                 for stack_sets in [1u32, 3, 64] {
                     let mut reference = cfg_path(threads, FsPath::Reference);
                     reference.stack_sets = stack_sets;
-                    let b = run_fs_model(k, &reference);
+                    let b = run(k, &reference);
                     for path in [FsPath::Optimized, FsPath::Symbolic] {
                         let mut c = cfg_path(threads, path);
                         c.stack_sets = stack_sets;
-                        let a = run_fs_model(k, &c);
+                        let a = run(k, &c);
                         assert_eq!(
                             a, b,
                             "kernel {} path {path} threads {threads} sets {stack_sets}",
@@ -1264,8 +1279,8 @@ mod tests {
             loop_ir::Expr::num(1.0),
         ));
         let k = b.build();
-        let opt = run_fs_model(&k, &cfg_path(4, FsPath::Optimized));
-        let reference = run_fs_model(&k, &cfg_path(4, FsPath::Reference));
+        let opt = run(&k, &cfg_path(4, FsPath::Optimized));
+        let reference = run(&k, &cfg_path(4, FsPath::Reference));
         assert_eq!(opt, reference);
         assert_eq!(opt.iterations, 16);
     }
@@ -1274,7 +1289,7 @@ mod tests {
     fn team_of_64_is_modelable() {
         for path in PATHS {
             let k = kernels::stencil1d(258, 1);
-            let r = run_fs_model(&k, &cfg_path(64, path));
+            let r = run(&k, &cfg_path(64, path));
             assert!(r.iterations > 0);
             assert_eq!(r.per_thread_cases.len(), 64);
         }

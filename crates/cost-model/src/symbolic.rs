@@ -1079,8 +1079,6 @@ mod tests {
     use crate::fs::{run_fs_model, FsPath};
     use loop_ir::kernels;
     use machine::presets;
-    use proptest::prelude::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A small in-fragment kernel: the corpus shapes plus a transpose.
     fn kernel(template: usize, scale: u64, chunk: u64) -> Kernel {
@@ -1103,58 +1101,49 @@ mod tests {
     /// in at least one case in twenty, so the property cannot go vacuous.
     #[test]
     fn window_engine_matches_reference_on_both_id_layouts() {
-        static EXTRAPOLATED: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
-        static CASES: AtomicU64 = AtomicU64::new(0);
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(160))]
-            fn cases(
-                template in 0usize..6,
-                scale in 1u64..5,
-                threads in 1u32..9,
-                chunk in prop::sample::select(vec![1u64, 2, 4, 16]),
-                stack_lines in prop::sample::select(vec![8usize, 32, 768]),
-                stack_sets in prop::sample::select(vec![1u32, 2, 3, 64]),
-                invalidate in any::<bool>(),
-                count_ts in any::<bool>(),
-                max_runs in prop::sample::select(vec![None, Some(3u64), Some(40)]),
-            ) {
-                let k = kernel(template, scale, chunk);
-                let mut cfg = FsModelConfig::for_machine(&presets::paper48(), threads);
-                cfg.stack_lines = stack_lines;
-                cfg.stack_sets = stack_sets;
-                cfg.invalidate_on_detect = invalidate;
-                cfg.count_true_sharing = count_ts;
-                cfg.max_chunk_runs = max_runs;
-                cfg.path = FsPath::Reference;
-                let want = run_fs_model(&k, &cfg);
-                let plan = k.access_plan();
-                let bases = k.array_bases(cfg.line_size);
-                let ctx = format!("{} threads={threads} {cfg:?}", k.name);
-                CASES.fetch_add(1, Ordering::Relaxed);
-                for (m, overflow_ids) in [false, true].into_iter().enumerate() {
-                    let tuning = Tuning { size_floor: false, overflow_ids };
-                    let got = match run_tuned(&k, &cfg, &plan, &bases, tuning) {
-                        SymbolicRun::ClosedForm(r) => {
-                            EXTRAPOLATED[m].fetch_add(1, Ordering::Relaxed);
-                            r
-                        }
-                        SymbolicRun::Direct(r) | SymbolicRun::Declined(Some(r)) => r,
-                        SymbolicRun::Declined(None) => {
-                            return Err(TestCaseError::fail(format!("{ctx}: declined")));
-                        }
-                    };
-                    prop_assert_eq!(&got, &want, "{} (overflow ids: {})", ctx, overflow_ids);
-                }
+        const CASES: u64 = 160;
+        let mut extrapolated = [0u64; 2];
+        // Deterministic xorshift stream of case parameters.
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut draw = |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        for _ in 0..CASES {
+            let k = kernel(draw(6), 1 + draw(4) as u64, [1, 2, 4, 16][draw(4)]);
+            let mut cfg = FsModelConfig::for_machine(&presets::paper48(), 1 + draw(8) as u32);
+            cfg.stack_lines = [8, 32, 768][draw(3)];
+            cfg.stack_sets = [1, 2, 3, 64][draw(4)];
+            cfg.invalidate_on_detect = draw(2) == 1;
+            cfg.count_true_sharing = draw(2) == 1;
+            cfg.max_chunk_runs = [None, Some(3), Some(40)][draw(3)];
+            cfg.path = FsPath::Reference;
+            let want = run_fs_model(&k, &cfg);
+            let plan = k.access_plan();
+            let bases = k.array_bases(cfg.line_size);
+            let ctx = format!("{} threads={} {cfg:?}", k.name, cfg.num_threads);
+            for (m, overflow_ids) in [false, true].into_iter().enumerate() {
+                let tuning = Tuning {
+                    size_floor: false,
+                    overflow_ids,
+                };
+                let got = match run_tuned(&k, &cfg, &plan, &bases, tuning) {
+                    SymbolicRun::ClosedForm(r) => {
+                        extrapolated[m] += 1;
+                        r
+                    }
+                    SymbolicRun::Direct(r) | SymbolicRun::Declined(Some(r)) => r,
+                    SymbolicRun::Declined(None) => panic!("{ctx}: declined"),
+                };
+                assert_eq!(got, want, "{ctx} (overflow ids: {overflow_ids})");
             }
         }
-        cases();
-        let cases = CASES.load(Ordering::Relaxed);
-        for (m, name) in ["identity", "overflow"].into_iter().enumerate() {
-            let n = EXTRAPOLATED[m].load(Ordering::Relaxed);
+        for (n, name) in extrapolated.into_iter().zip(["identity", "overflow"]) {
             assert!(
-                n * 20 >= cases,
-                "{name} id layout extrapolated only {n} of {cases} cases"
+                n * 20 >= CASES,
+                "{name} id layout extrapolated only {n} of {CASES} cases"
             );
         }
     }

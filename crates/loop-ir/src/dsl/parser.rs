@@ -469,20 +469,48 @@ impl Parser {
 
     // ---- affine expression grammar (loop bounds, subscripts) ----
 
+    /// `e * k`, or an error where a coefficient leaves `i64`.
+    fn checked_scale(&self, e: &AffineExpr, k: i64) -> Result<AffineExpr, ParseError> {
+        let terms: Option<Vec<_>> = e
+            .terms()
+            .iter()
+            .map(|&(v, c)| Some((v, c.checked_mul(k)?)))
+            .collect();
+        match (terms, e.constant_part().checked_mul(k)) {
+            (Some(terms), Some(constant)) => Ok(AffineExpr::from_terms(terms, constant)),
+            _ => Err(self.err_here("integer overflow in affine expression")),
+        }
+    }
+
+    /// `a + b`, or an error where a coefficient leaves `i64`.
+    fn checked_sum(&self, a: &AffineExpr, b: &AffineExpr) -> Result<AffineExpr, ParseError> {
+        let overflow = || self.err_here("integer overflow in affine expression");
+        let mut terms = a.terms().to_vec();
+        for &(v, c) in b.terms() {
+            match terms.iter_mut().find(|(tv, _)| *tv == v) {
+                Some((_, tc)) => *tc = tc.checked_add(c).ok_or_else(overflow)?,
+                None => terms.push((v, c)),
+            }
+        }
+        let constant = a.constant_part().checked_add(b.constant_part());
+        Ok(AffineExpr::from_terms(
+            terms,
+            constant.ok_or_else(overflow)?,
+        ))
+    }
+
     fn affine_expr(&mut self) -> Result<AffineExpr, ParseError> {
         let mut acc = self.affine_term()?;
         loop {
-            match self.peek().kind {
-                TokenKind::Plus => {
-                    self.bump();
-                    acc = acc + self.affine_term()?;
-                }
-                TokenKind::Minus => {
-                    self.bump();
-                    acc = acc - self.affine_term()?;
-                }
+            let sign = match self.peek().kind {
+                TokenKind::Plus => 1,
+                TokenKind::Minus => -1,
                 _ => return Ok(acc),
-            }
+            };
+            self.bump();
+            let term = self.affine_term()?;
+            let term = self.checked_scale(&term, sign)?;
+            acc = self.checked_sum(&acc, &term)?;
         }
     }
 
@@ -492,8 +520,8 @@ impl Parser {
             self.bump();
             let rhs = self.affine_factor()?;
             acc = match (acc.as_const(), rhs.as_const()) {
-                (_, Some(k)) => acc.scaled(k),
-                (Some(k), _) => rhs.scaled(k),
+                (_, Some(k)) => self.checked_scale(&acc, k)?,
+                (Some(k), _) => self.checked_scale(&rhs, k)?,
                 (None, None) => {
                     return Err(self.err_here(
                         "non-affine subscript: product of two loop-variable expressions",
@@ -512,7 +540,8 @@ impl Parser {
             }
             TokenKind::Minus => {
                 self.bump();
-                Ok(-self.affine_factor()?)
+                let e = self.affine_factor()?;
+                self.checked_scale(&e, -1)
             }
             TokenKind::LParen => {
                 self.bump();

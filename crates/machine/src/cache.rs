@@ -137,53 +137,6 @@ mod tests {
         assert_eq!(f.ways(64), 1024);
     }
 
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// lines_touched is consistent with per-byte line membership.
-            #[test]
-            fn lines_touched_matches_bytewise(addr in 0u64..100_000, size in 1u64..300) {
-                let h = CacheHierarchy {
-                    line_size: 64,
-                    levels: vec![CacheLevel {
-                        name: "L1".into(),
-                        size_bytes: 4096,
-                        associativity: Associativity::Full,
-                        hit_latency: 1,
-                        shared: false,
-                    }],
-                    shared_cluster_size: 1,
-                    memory_latency: 100,
-                };
-                let mut distinct = std::collections::HashSet::new();
-                for b in addr..addr + size {
-                    distinct.insert(h.line_of(b));
-                }
-                prop_assert_eq!(h.lines_touched(addr, size), distinct.len() as u64);
-            }
-
-            /// Set geometry conserves capacity: sets x ways == lines.
-            #[test]
-            fn set_geometry_conserves_lines(size_kb in 1u64..512, ways in 1u32..32) {
-                let bytes = size_kb * 1024;
-                let lines = bytes / 64;
-                prop_assume!(lines % ways as u64 == 0);
-                let l = CacheLevel {
-                    name: "L".into(),
-                    size_bytes: bytes,
-                    associativity: Associativity::SetAssoc { ways },
-                    hit_latency: 1,
-                    shared: false,
-                };
-                prop_assert_eq!(l.num_sets(64) * l.ways(64), l.num_lines(64));
-            }
-        }
-    }
-
     #[test]
     fn private_levels_excludes_shared() {
         let mut l3 = level(10 * 1024 * 1024, Associativity::SetAssoc { ways: 16 });

@@ -1,248 +1,113 @@
-//! Property test: all three FS-model paths — the optimized dense-table
-//! walk, the symbolic closed-form path, and the reference transcription of
-//! the paper's algorithm — are exact count-identical, over randomized
-//! DSL-corpus kernels × team sizes × schedules × cache-state geometries.
-//!
-//! On divergence the failing configuration is minimized (shrink the scale,
-//! then threads, then chunk, then the config knobs) and the smallest
-//! diverging kernel is dumped as a `.loop` reproducer, as in
-//! `tests/lint_differential.rs`.
+//! Differential oracle for the FS model: the fast dispatch (the closed
+//! form where a period verifies, the dense walk elsewhere) and the dense
+//! walk alone are exact count-identical to the reference transcription of
+//! the paper's algorithm, over generated kernels × team sizes × schedules
+//! × cache-state geometries. A diverging case is shrunk and dumped as a
+//! `.loop` reproducer by the shared harness in `tests/common`.
 
+mod common;
+
+use common::{differential, Case, Kind, Rng, TEMPLATES};
 use cost_model::fs::run_fs_model_dense;
 use cost_model::{analyze_loop, chunk_footprint, run_fs_model, AnalysisOptions, FsPath};
-use fs_core::{corpus_kernel_with_consts, kernel_to_dsl};
-use fs_core::{FsModelConfig, FsModelResult};
+use fs_core::FsModelConfig;
 use loop_ir::Kernel;
 use machine::presets;
-use proptest::prelude::*;
+use std::cell::Cell;
 use std::sync::Mutex;
 
-const CORPUS: [&str; 6] = ["dft", "heat", "histogram", "linreg", "matmul", "stencil"];
-
-/// One point in the differential space.
-#[derive(Debug, Clone, Copy)]
-struct Params {
-    template: usize,
-    /// Problem-size multiplier, 1..=3.
-    scale: u64,
-    threads: u32,
-    chunk: u64,
-    stack_sets: u32,
-    invalidate: bool,
-    count_ts: bool,
-    max_runs: Option<u64>,
-}
-
-/// Build a corpus kernel at a randomized (small) problem size. The const
-/// names per kernel match `crates/core/src/corpus.rs`; sizes are scaled
-/// down so a proptest case stays fast.
-fn kernel_at(p: Params) -> Kernel {
-    let s = p.scale as i64; // 1..=3
-    let name = CORPUS[p.template];
-    let consts: Vec<(&str, i64)> = match name {
-        "dft" => vec![("N", 8 * s), ("K", 32 * s)],
-        "heat" => vec![("N", 6 * s), ("M", 32 * s + 2)],
-        "histogram" => vec![("T", 8), ("N", 64 * s)],
-        "linreg" => vec![("N", 48 * s), ("M", 8 * s)],
-        "matmul" => vec![("N", 8 * s), ("M", 8 * s), ("P", 8)],
-        "stencil" => vec![("N", 64 * s + 2)],
-        other => panic!("unknown corpus kernel {other}"),
-    };
-    let mut kernel = corpus_kernel_with_consts(name, &consts).expect("corpus kernel builds");
-    kernel.nest.parallel.schedule = loop_ir::Schedule::Static { chunk: p.chunk };
-    kernel
-}
-
-fn cfg(p: Params, path: FsPath) -> FsModelConfig {
-    let mut c = FsModelConfig::for_machine(&presets::paper48(), p.threads);
-    c.stack_sets = p.stack_sets;
-    c.invalidate_on_detect = p.invalidate;
-    c.count_true_sharing = p.count_ts;
-    c.max_chunk_runs = p.max_runs;
-    c.path = path;
-    c
-}
-
-fn run(p: Params, path: FsPath) -> FsModelResult {
-    run_fs_model(&kernel_at(p), &cfg(p, path))
-}
-
-/// Compare every counting field of both non-reference paths against the
-/// reference; Some(description) on any mismatch.
-fn divergence(p: Params) -> Option<String> {
-    let reference = run(p, FsPath::Reference);
-    for path in [FsPath::Optimized, FsPath::Symbolic] {
-        let candidate = run(p, path);
-        if candidate != reference {
-            return Some(format!("{path} path diverges from reference ({p:?})"));
-        }
-    }
-    None
-}
-
-/// Shrink a diverging point — smaller problem, then fewer threads, smaller
-/// chunk, simpler config — keeping the divergence alive at every step.
-fn minimize(mut p: Params) -> Params {
-    loop {
-        let mut candidates = vec![
-            Params {
-                scale: p.scale.saturating_sub(1),
-                ..p
-            },
-            Params {
-                threads: p.threads.saturating_sub(1),
-                ..p
-            },
-            Params {
-                chunk: p.chunk / 2,
-                ..p
-            },
-            Params { stack_sets: 1, ..p },
-            Params {
-                invalidate: false,
-                ..p
-            },
-            Params {
-                count_ts: false,
-                ..p
-            },
-            Params {
-                max_runs: None,
-                ..p
-            },
-        ];
-        candidates.retain(|c| {
-            c.scale >= 1
-                && c.threads >= 1
-                && c.chunk >= 1
-                && (
-                    c.scale,
-                    c.threads,
-                    c.chunk,
-                    c.stack_sets,
-                    c.invalidate,
-                    c.count_ts,
-                    c.max_runs,
-                ) != (
-                    p.scale,
-                    p.threads,
-                    p.chunk,
-                    p.stack_sets,
-                    p.invalidate,
-                    p.count_ts,
-                    p.max_runs,
-                )
-        });
-        match candidates.into_iter().find(|&c| divergence(c).is_some()) {
-            Some(c) => p = c,
-            None => return p,
-        }
-    }
-}
-
-/// Dump a `.loop` reproducer for a diverging point and return its path.
-fn dump_reproducer(p: Params) -> std::path::PathBuf {
-    let dir = option_env!("CARGO_TARGET_TMPDIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir);
-    let path = dir.join(format!(
-        "fs_path_divergence_{}_s{}_t{}_c{}.loop",
-        CORPUS[p.template], p.scale, p.threads, p.chunk
-    ));
-    std::fs::write(&path, kernel_to_dsl(&kernel_at(p))).expect("write reproducer");
-    path
-}
-
-fn check_point(p: Params) {
-    if let Some(msg) = divergence(p) {
-        let small = minimize(p);
-        let path = dump_reproducer(small);
-        panic!(
-            "FS-path divergence: {msg}\nminimized to {small:?}\n\
-             reproducer: {} (run `fsdetect {}` per path)",
-            path.display(),
-            path.display()
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The headline differential property: >= 256 random (corpus template,
-    /// scale, threads, chunk, cache geometry, model knobs) points, all
-    /// three paths exact count-identical.
-    #[test]
-    fn all_paths_match_reference(
-        template in 0usize..CORPUS.len(),
-        scale in 1u64..4,
-        threads in 1u32..9,
-        chunk in prop::sample::select(vec![1u64, 2, 4, 16]),
-        stack_sets in prop::sample::select(vec![1u32, 2, 3, 64, 1024]),
-        invalidate in any::<bool>(),
-        count_ts in any::<bool>(),
-        max_runs in prop::sample::select(vec![None, Some(1u64), Some(2), Some(5)]),
-    ) {
-        check_point(Params {
-            template,
-            scale,
-            threads,
-            chunk,
-            stack_sets,
-            invalidate,
-            count_ts,
-            max_runs,
-        });
-    }
-
-    /// Tiny cache states force constant eviction traffic — the hardest case
-    /// for the dense tables' writer-mask bookkeeping and the symbolic
-    /// path's steady-state verification.
-    #[test]
-    fn equivalence_under_heavy_eviction(
-        name in prop::sample::select(vec!["dft", "transpose_like", "stencil"]),
-        threads in 2u32..9,
-        stack_lines in prop::sample::select(vec![2usize, 4, 8, 16]),
-        stack_sets in prop::sample::select(vec![1u32, 2, 8]),
-    ) {
-        let kernel = match name {
-            "transpose_like" => loop_ir::kernels::transpose(24, 24, 1),
-            "dft" => {
-                let p = Params {
-                    template: 0, scale: 1, threads, chunk: 1,
-                    stack_sets, invalidate: false, count_ts: false, max_runs: None,
-                };
-                kernel_at(p)
-            }
-            _ => {
-                let p = Params {
-                    template: 5, scale: 1, threads, chunk: 1,
-                    stack_sets, invalidate: false, count_ts: false, max_runs: None,
-                };
-                kernel_at(p)
-            }
-        };
-        let mk = |path| {
-            let mut c = FsModelConfig::for_machine(&presets::paper48(), threads);
-            c.stack_sets = stack_sets;
-            c.stack_lines = stack_lines;
-            c.path = path;
-            run_fs_model(&kernel, &c)
-        };
-        let reference = mk(FsPath::Reference);
-        for path in [FsPath::Optimized, FsPath::Symbolic] {
-            let candidate = mk(path);
-            assert_eq!(
-                candidate, reference,
-                "{path} diverges: {name} threads={threads} lines={stack_lines} sets={stack_sets}"
-            );
-        }
-    }
-}
-
-/// Held by the tests that run the fast dispatch on purpose outside the
-/// fragment, or that read the process-global decline counter.
+/// Held by every test here: each runs the fast dispatch outside the
+/// fragment on purpose, or reads the process-global decline counter.
 static DECLINES: Mutex<()> = Mutex::new(());
+
+/// The fast dispatch (through `analyze_loop`, which reports the engine
+/// that ran) and the dense walk against the reference, field for field.
+/// `closed` counts the cases the closed form answered.
+fn divergence(case: &Case, closed: &Cell<u32>) -> Option<String> {
+    let kernel = case.kernel();
+    let machine = presets::paper48();
+    let mut cfg = FsModelConfig::for_machine(&machine, case.threads);
+    cfg.stack_lines = case.stack_lines.unwrap_or(cfg.stack_lines);
+    cfg.stack_sets = case.stack_sets;
+    cfg.invalidate_on_detect = case.invalidate;
+    cfg.count_true_sharing = case.count_ts;
+    cfg.max_chunk_runs = case.max_runs;
+    let reference = run_fs_model(
+        &kernel,
+        &FsModelConfig {
+            path: FsPath::Reference,
+            ..cfg.clone()
+        },
+    );
+    let mut opts = AnalysisOptions::new(case.threads);
+    opts.fs_config = Some(cfg.clone());
+    let fast = analyze_loop(&kernel, &machine, &opts);
+    if fast.fs_path == FsPath::Symbolic {
+        closed.set(closed.get() + 1);
+    }
+    if fast.fs != reference {
+        return Some(format!(
+            "fast dispatch ({}) diverges from reference",
+            fast.fs_path
+        ));
+    }
+    let dense = run_fs_model_dense(
+        &kernel,
+        &cfg,
+        &kernel.access_plan(),
+        &kernel.array_bases(cfg.line_size),
+    );
+    (dense != reference).then(|| "dense walk diverges from reference".to_string())
+}
+
+/// The headline differential property: 256 generated corpus kernels, half
+/// at the default model settings (the ones a request runs under) and half
+/// under random ones. At least one case in twenty must take the closed
+/// form, so that half of the comparison cannot go vacuous.
+#[test]
+fn all_paths_match_reference() {
+    let _turn = DECLINES.lock().unwrap_or_else(|e| e.into_inner());
+    let closed = Cell::new(0);
+    let draw = |rng: &mut Rng| {
+        let case = Case::draw(rng, &[Kind::Corpus]);
+        if rng.coin() {
+            return case;
+        }
+        Case {
+            stack_sets: rng.pick(&[1, 2, 3, 64, 1024]),
+            invalidate: rng.coin(),
+            count_ts: rng.coin(),
+            max_runs: rng.pick(&[None, Some(1), Some(2), Some(5)]),
+            ..case
+        }
+    };
+    differential("all_paths_match_reference", 256, draw, |c| {
+        divergence(c, &closed)
+    });
+    assert!(
+        closed.get() * 20 >= 256,
+        "only {} of 256 cases took the closed form",
+        closed.get()
+    );
+}
+
+/// Tiny cache states force constant eviction traffic — the hardest case
+/// for the dense tables' writer-mask bookkeeping and the closed form's
+/// steady-state verification — on every template at its smallest size.
+#[test]
+fn equivalence_under_heavy_eviction() {
+    let _turn = DECLINES.lock().unwrap_or_else(|e| e.into_inner());
+    let closed = Cell::new(0);
+    let draw = |rng: &mut Rng| Case {
+        threads: rng.int(2..=8),
+        stack_lines: Some(rng.pick(&[2, 4, 8, 16])),
+        stack_sets: rng.pick(&[1, 2, 8]),
+        ..Case::new(rng.pick(&TEMPLATES).0)
+    };
+    differential("equivalence_under_heavy_eviction", 256, draw, |c| {
+        divergence(c, &closed)
+    });
+}
 
 /// Corpus kernels at their *bundled* default sizes: the fast dispatch
 /// declines none of them (`fs.symbolic_fallbacks` does not move), its
@@ -271,7 +136,7 @@ fn bundled_corpus_is_symbolic_and_exact() {
         run_fs_model_dense(kernel, &cfg, &plan, &bases)
     };
     let mut closed_form = Vec::new();
-    for name in CORPUS {
+    for name in fs_core::CORPUS.iter().map(|entry| entry.name) {
         let kernel = fs_core::corpus_kernel(name).expect("bundled kernel parses");
         let want = run_fs_model(&kernel, &reference);
         assert_eq!(
@@ -303,7 +168,7 @@ fn bundled_corpus_is_symbolic_and_exact() {
         }
     }
     fs_core::obs::configure(fs_core::obs::ObsConfig::disabled());
-    assert_eq!(closed_form, ["heat", "linreg", "matmul"]);
+    assert_eq!(closed_form, ["linreg", "heat", "matmul"]);
 }
 
 /// Fragment-boundary kernels of the per-chunk footprint recursion (the
@@ -315,51 +180,29 @@ fn bundled_corpus_is_symbolic_and_exact() {
 #[test]
 fn footprint_boundary_kernels_fall_back_identically() {
     let _turn = DECLINES.lock().unwrap_or_else(|e| e.into_inner());
-    // (source, expect_footprint): the triangular nest has non-constant inner
+    // (kernel, expect_footprint): the triangular nest has non-constant inner
     // trip counts so the footprint recursion must decline; the mixed-stride
-    // multi-array nest is constant-bounded and stays in the fragment.
-    let cases: [(&str, bool); 3] = [
-        (
-            "kernel tri {
-  array A[32][32]: f64;
-  parallel for i in 0..32 schedule(static, 2) {
-    for j in 0..i + 1 {
-      A[i][j] = 1.0;
-    }
-  }
-}",
-            false,
-        ),
-        (
-            "kernel nest {
-  array C[63]: f64;
-  array D[511]: f64;
-  parallel for i in 0..32 schedule(static, 2) {
-    for j in 0..8 {
-      C[2*i] += D[16*i + 2*j];
-    }
-  }
-}",
-            true,
-        ),
-        (
-            "kernel mixed {
-  array B[94]: f64;
-  parallel for i in 0..32 schedule(static, 4) {
-    B[i] = 1.0;
-    B[3*i] = 2.0;
-  }
-}",
-            true,
-        ),
+    // multi-array nest is constant-bounded and stays in the fragment, and so
+    // does the single array written at two strides.
+    let at = |template, chunk, size, stride| Case {
+        threads: 8,
+        chunk,
+        size,
+        stride,
+        ..Case::new(template)
+    };
+    let cases = [
+        (at("tri", 2, 2, 1), false),
+        (at("nest", 2, 2, 2), true),
+        (at("mixed", 4, 1, 3), true),
     ];
     for threads in [2u32, 8] {
-        for (src, expect_footprint) in cases {
-            let kernel = fs_core::parse_kernel(src).unwrap();
+        for (case, expect_footprint) in &cases {
+            let kernel = case.kernel();
             let cfg = FsModelConfig::for_machine(&presets::paper48(), threads);
             assert_eq!(
                 chunk_footprint(&kernel, cfg.line_size).is_some(),
-                expect_footprint,
+                *expect_footprint,
                 "{} threads={threads}: fragment membership flipped",
                 kernel.name
             );

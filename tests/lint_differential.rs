@@ -1,379 +1,112 @@
-//! Differential oracle for the symbolic lint: random valid kernels are
-//! generated from DSL templates, linted in closed form, and replayed
-//! through the `FsPath::Reference` simulator. The contract:
+//! Differential oracle for the symbolic lint: generated kernels are linted
+//! in closed form and replayed through the `FsPath::Reference` model. The
+//! contract:
 //!
-//! * `FalseSharing` ⇒ the simulator counts at least one FS case at the same
+//! * `FalseSharing` ⇒ the model counts at least one FS case at the same
 //!   (threads, chunk) configuration;
-//! * `Clean` ⇒ the simulator counts exactly zero;
-//! * `Unknown` never occurs — every generated kernel stays inside the
-//!   lint's decidable fragment.
+//! * `Clean` ⇒ the model counts exactly zero;
+//! * `Unknown` never occurs on a decidable template. A fragment-boundary
+//!   template may answer `Unknown`, but any definite verdict must hold.
 //!
-//! On divergence the failing configuration is minimized (shrink the trip
-//! multiplier, then threads, then chunk) and the smallest diverging kernel
-//! is dumped as a `.loop` reproducer for `fslint`/`fsdetect`.
+//! A diverging case is shrunk and dumped as a `.loop` reproducer for
+//! `fslint`/`fsdetect` by the shared harness in `tests/common`.
 
+mod common;
+
+use common::{check, differential, dump, shrink, Case, Kind, Rng};
 use fs_core::{machines, try_lint_dsl, FsModelConfig, FsPath, LintVerdict};
-use proptest::prelude::*;
 
-/// Generator parameters: one point in the template space.
-#[derive(Debug, Clone, Copy)]
-struct Params {
-    template: usize,
-    threads: u32,
-    chunk: u64,
-    /// Trip count multiplier: trip = chunk * threads * k (zero skew).
-    k: u64,
-    /// Element stride multiplier inside subscripts.
-    stride: i64,
-}
-
-const NUM_TEMPLATES: usize = 7;
-
-/// Render the DSL source for one parameter point. Every template keeps the
-/// per-thread footprint far below the paper machine's 64 KiB L1, so the
-/// lint's residency assumption holds in the simulator.
-fn render(p: Params) -> String {
-    let trip = p.chunk * p.threads as u64 * p.k;
-    let s = p.stride;
-    match p.template {
-        // Strided writes: FS whenever chunk*stride*8 misaligns with lines.
-        0 => format!(
-            "kernel strided {{
-  array A[{n}]: f64;
-  array B[{n}]: f64;
-  parallel for i in 0..{trip} schedule(static, {chunk}) {{
-    B[{s}*i] = A[{s}*i] + 1.0;
-  }}
-}}",
-            n = s as u64 * trip + 1,
-            chunk = p.chunk,
-        ),
-        // Padded elements: one line per iteration, always clean.
-        1 => format!(
-            "kernel padded {{
-  array B[{n}] of {{ v: f64 }} pad 64;
-  parallel for i in 0..{trip} schedule(static, {chunk}) {{
-    B[{s}*i].v = 2.0;
-  }}
-}}",
-            n = s as u64 * trip + 1,
-            chunk = p.chunk,
-        ),
-        // Histogram-style read-modify-write accumulators.
-        2 => format!(
-            "kernel rmw {{
-  array H[{trip}]: f64;
-  array D[{trip}][16]: f64;
-  parallel for t in 0..{trip} schedule(static, {chunk}) {{
-    for i in 0..16 {{
-      H[t] += D[t][i];
-    }}
-  }}
-}}",
-            chunk = p.chunk,
-        ),
-        // Outer sequential loop shifting the written row each instance.
-        3 => format!(
-            "kernel outer {{
-  array A[{r}][{trip}]: f64;
-  array B[{r}][{trip}]: f64;
-  for r in 0..{r} {{
-    parallel for j in 0..{trip} schedule(static, {chunk}) {{
-      B[r][j] = A[r][j] * 0.5;
-    }}
-  }}
-}}",
-            r = (p.stride as u64).clamp(2, 4),
-            chunk = p.chunk,
-        ),
-        // Struct-field accumulators (linear-regression shape, 16 B elems).
-        4 => format!(
-            "kernel fields {{
-  array S[{trip}] of {{ a: f64, b: f64 }};
-  array P[{trip}][8] of {{ x: f64, y: f64 }};
-  parallel for j in 0..{trip} schedule(static, {chunk}) {{
-    for i in 0..8 {{
-      S[j].a += P[j][i].x;
-      S[j].b += P[j][i].y;
-    }}
-  }}
-}}",
-            chunk = p.chunk,
-        ),
-        // Full-line element spacing (8 doubles): always clean.
-        5 => format!(
-            "kernel spaced {{
-  array A[{n}]: f64;
-  parallel for i in 0..{trip} schedule(static, {chunk}) {{
-    A[8*i] = 1.0;
-  }}
-}}",
-            n = 8 * trip + 1,
-            chunk = p.chunk,
-        ),
-        // Negative stride: threads walk the array backwards.
-        6 => format!(
-            "kernel reversed {{
-  array B[{n}]: f64;
-  parallel for i in 0..{trip} schedule(static, {chunk}) {{
-    B[{last} - {s}*i] = 3.0;
-  }}
-}}",
-            n = s as u64 * (trip - 1) + 1,
-            last = s as u64 * (trip - 1),
-            chunk = p.chunk,
-        ),
-        _ => unreachable!("template out of range"),
-    }
-}
-
-/// Simulated FS cases at the paper machine on the reference path.
-fn oracle_cases(source: &str, threads: u32) -> u64 {
-    let kernel = fs_core::parse_kernel(source).expect("generated kernel parses");
-    let mut cfg = FsModelConfig::for_machine(&machines::paper48(), threads);
+/// Lint verdict against the reference model's FS cases at the paper machine.
+fn divergence(case: &Case) -> Option<String> {
+    let report = match try_lint_dsl(&case.text(), &machines::paper48(), case.threads) {
+        Ok(report) => report,
+        Err(e) => return Some(format!("generated kernel rejected: {e}")),
+    };
+    let mut cfg = FsModelConfig::for_machine(&machines::paper48(), case.threads);
     cfg.path = FsPath::Reference;
-    fs_core::run_fs_model(&kernel, &cfg).fs_cases
-}
-
-/// Check one point; Some(description) on divergence.
-fn divergence(p: Params) -> Option<String> {
-    let source = render(p);
-    let report = try_lint_dsl(&source, &machines::paper48(), p.threads)
-        .unwrap_or_else(|e| panic!("generated kernel rejected: {e}\n{source}"));
-    let cases = oracle_cases(&source, p.threads);
+    let cases = fs_core::run_fs_model(&case.kernel(), &cfg).fs_cases;
     match report.result.verdict {
-        LintVerdict::FalseSharing if cases == 0 => Some(format!(
-            "lint says FalseSharing, simulator counted 0 ({p:?})"
-        )),
-        LintVerdict::Clean if cases > 0 => Some(format!(
-            "lint says Clean, simulator counted {cases} ({p:?})"
-        )),
-        LintVerdict::Unknown => Some(format!(
-            "generated kernel left the decidable fragment ({p:?})"
-        )),
+        LintVerdict::FalseSharing if cases == 0 => {
+            Some("lint says FalseSharing, the model counted 0".into())
+        }
+        LintVerdict::Clean if cases > 0 => {
+            Some(format!("lint says Clean, the model counted {cases}"))
+        }
+        LintVerdict::Unknown if case.kind() == Kind::Decidable => {
+            Some("a decidable template left the fragment".into())
+        }
         _ => None,
     }
 }
 
-/// Shrink a diverging point: smaller trip multiplier, then fewer threads,
-/// then smaller chunk — keeping the divergence alive at every step.
-fn minimize(mut p: Params) -> Params {
-    loop {
-        let mut shrunk = false;
-        for cand in [
-            Params { k: p.k - 1, ..p },
-            Params {
-                threads: p.threads - 1,
-                ..p
-            },
-            Params {
-                chunk: p.chunk / 2,
-                ..p
-            },
-            Params {
-                stride: p.stride - 1,
-                ..p
-            },
-        ] {
-            if cand.k >= 1
-                && cand.threads >= 2
-                && cand.chunk >= 1
-                && cand.stride >= 1
-                && divergence(cand).is_some()
-            {
-                p = cand;
-                shrunk = true;
-                break;
-            }
-        }
-        if !shrunk {
-            return p;
-        }
+/// Lint-shaped cases: 2..=8 threads, so every case has a team to share.
+fn draw(rng: &mut Rng, kind: Kind) -> Case {
+    Case {
+        threads: rng.int(2..=8),
+        ..Case::draw(rng, &[kind])
     }
 }
 
-/// Dump a `.loop` reproducer for a diverging point and return its path.
-fn dump_reproducer(p: Params) -> std::path::PathBuf {
-    let dir = option_env!("CARGO_TARGET_TMPDIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir);
-    let path = dir.join(format!(
-        "lint_divergence_t{}_c{}_k{}_s{}_tpl{}.loop",
-        p.threads, p.chunk, p.k, p.stride, p.template
-    ));
-    std::fs::write(&path, render(p)).expect("write reproducer");
-    path
-}
-
-fn check_point(p: Params) {
-    if let Some(msg) = divergence(p) {
-        let small = minimize(p);
-        let path = dump_reproducer(small);
-        panic!(
-            "lint/simulator divergence: {msg}\nminimized to {small:?}\n\
-             reproducer: {} (run `fslint {}` vs `fsdetect {}`)",
-            path.display(),
-            path.display(),
-            path.display()
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The headline differential property: >= 256 random (template,
-    /// threads, chunk, trip, stride) points, zero divergences.
-    #[test]
-    fn lint_verdicts_agree_with_reference_simulator(
-        template in 0usize..NUM_TEMPLATES,
-        threads in 2u32..=8,
-        chunk_pow in 0u32..4,
-        k in 1u64..=4,
-        stride in 1i64..=4,
-    ) {
-        check_point(Params {
-            template,
-            threads,
-            chunk: 1u64 << chunk_pow,
-            k,
-            stride,
-        });
-    }
+/// The headline differential property: 256 generated decidable kernels,
+/// zero divergences.
+#[test]
+fn lint_verdicts_agree_with_reference_simulator() {
+    differential(
+        "lint_verdicts_agree_with_reference_simulator",
+        256,
+        |rng| draw(rng, Kind::Decidable),
+        divergence,
+    );
 }
 
 #[test]
 fn divergence_harness_covers_every_template() {
     // Deterministic sweep so each template is exercised at least once per
     // run even if the random sampler clusters.
-    for template in 0..NUM_TEMPLATES {
+    for (template, kind) in common::TEMPLATES {
+        if kind != Kind::Decidable {
+            continue;
+        }
         for threads in [2u32, 8] {
             for chunk in [1u64, 4] {
-                check_point(Params {
-                    template,
+                let case = Case {
                     threads,
                     chunk,
-                    k: 2,
+                    size: 2,
                     stride: 2,
-                });
+                    ..Case::new(template)
+                };
+                check("lint", &case, divergence);
             }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fragment-boundary kernels: shapes at or beyond the decidable fragment's
-// edge. Unknown is allowed here — the contract is only that any claim the
-// lint does make survives the simulator, and that leaving the fragment is
-// reported honestly rather than guessed at.
-// ---------------------------------------------------------------------------
-
-const NUM_BOUNDARY_TEMPLATES: usize = 3;
-
-fn render_boundary(p: Params) -> String {
-    let trip = p.chunk * p.threads as u64 * p.k;
-    let s = p.stride;
-    match p.template {
-        // Triangular: the inner bound rides the parallel variable, which
-        // skews threads against each other — outside the fragment (FS003).
-        0 => format!(
-            "kernel tri {{
-  array A[{trip}][{trip}]: f64;
-  parallel for i in 0..{trip} schedule(static, {chunk}) {{
-    for j in 0..i + 1 {{
-      A[i][j] = 1.0;
-    }}
-  }}
-}}",
-            chunk = p.chunk,
-        ),
-        // Two writes to one array with different parallel strides: the seam
-        // analysis needs a single stride per array, so s > 1 leaves the
-        // fragment (and s == 1 collapses back inside it).
-        1 => format!(
-            "kernel mixed {{
-  array B[{n}]: f64;
-  parallel for i in 0..{trip} schedule(static, {chunk}) {{
-    B[i] = 1.0;
-    B[{s}*i] = 2.0;
-  }}
-}}",
-            n = s as u64 * (trip - 1) + 1,
-            chunk = p.chunk,
-        ),
-        // Multi-array nest with mixed, non-unit inner strides: decidable —
-        // each array is analyzed independently at its own stride.
-        2 => format!(
-            "kernel nest {{
-  array C[{cn}]: f64;
-  array D[{dn}]: f64;
-  parallel for i in 0..{trip} schedule(static, {chunk}) {{
-    for j in 0..8 {{
-      C[{s}*i] += D[16*i + 2*j];
-    }}
-  }}
-}}",
-            cn = s as u64 * (trip - 1) + 1,
-            dn = 16 * (trip - 1) + 15,
-            chunk = p.chunk,
-        ),
-        _ => unreachable!("boundary template out of range"),
-    }
-}
-
-/// Check one boundary point: Unknown makes no claim; definite verdicts must
-/// survive the simulator, as in [`divergence`].
-fn check_boundary_point(p: Params) {
-    let source = render_boundary(p);
-    let report = try_lint_dsl(&source, &machines::paper48(), p.threads)
-        .unwrap_or_else(|e| panic!("boundary kernel rejected: {e}\n{source}"));
-    let cases = oracle_cases(&source, p.threads);
-    match report.result.verdict {
-        LintVerdict::FalseSharing => assert!(
-            cases > 0,
-            "lint says FalseSharing, simulator counted 0 ({p:?})\n{source}"
-        ),
-        LintVerdict::Clean => assert_eq!(
-            cases, 0,
-            "lint says Clean, simulator counted {cases} ({p:?})\n{source}"
-        ),
-        LintVerdict::Unknown => {}
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Boundary kernels never panic and never produce a wrong claim.
-    #[test]
-    fn boundary_kernels_stay_sound(
-        template in 0usize..NUM_BOUNDARY_TEMPLATES,
-        threads in 2u32..=6,
-        chunk_pow in 0u32..3,
-        k in 1u64..=2,
-        stride in 1i64..=4,
-    ) {
-        check_boundary_point(Params {
-            template,
-            threads,
-            chunk: 1u64 << chunk_pow,
-            k,
-            stride,
-        });
-    }
+/// Boundary kernels never panic and never produce a wrong claim.
+#[test]
+fn boundary_kernels_stay_sound() {
+    differential(
+        "boundary_kernels_stay_sound",
+        64,
+        |rng| draw(rng, Kind::Boundary),
+        divergence,
+    );
 }
 
 #[test]
 fn boundary_fragment_edges_are_reported_honestly() {
-    let p = |template, stride| Params {
-        template,
-        threads: 4,
-        chunk: 2,
-        k: 2,
-        stride,
+    let lint = |template, stride| {
+        let case = Case {
+            threads: 4,
+            chunk: 2,
+            size: 2,
+            stride,
+            ..Case::new(template)
+        };
+        try_lint_dsl(&case.text(), &machines::paper48(), 4).unwrap()
     };
     // Triangular bounds leave the fragment: FS003, verdict Unknown.
-    let tri = try_lint_dsl(&render_boundary(p(0, 2)), &machines::paper48(), 4).unwrap();
+    let tri = lint("tri", 2);
     assert_eq!(tri.result.verdict, LintVerdict::Unknown);
     assert!(
         tri.result.diagnostics.iter().any(|d| d.rule_id == "FS003"),
@@ -381,30 +114,60 @@ fn boundary_fragment_edges_are_reported_honestly() {
         tri.result.diagnostics
     );
     // Mixed strides on one array: out at s > 1, back in at s == 1.
-    let mixed = try_lint_dsl(&render_boundary(p(1, 3)), &machines::paper48(), 4).unwrap();
-    assert_eq!(mixed.result.verdict, LintVerdict::Unknown);
-    let collapsed = try_lint_dsl(&render_boundary(p(1, 1)), &machines::paper48(), 4).unwrap();
-    assert_ne!(collapsed.result.verdict, LintVerdict::Unknown);
+    assert_eq!(lint("mixed", 3).result.verdict, LintVerdict::Unknown);
+    assert_ne!(lint("mixed", 1).result.verdict, LintVerdict::Unknown);
     // The multi-array mixed-stride nest stays decidable.
-    let nest = try_lint_dsl(&render_boundary(p(2, 2)), &machines::paper48(), 4).unwrap();
-    assert_ne!(nest.result.verdict, LintVerdict::Unknown);
+    assert_ne!(lint("nest", 2).result.verdict, LintVerdict::Unknown);
 }
 
+/// The harness itself, on a planted divergence (at least 3 threads and a
+/// chunk of at least 2): the shrinker reaches exactly that minimal point,
+/// `check` fails with a reproducer path, and the dumped `.loop` parses and
+/// round-trips.
 #[test]
 fn minimizer_shrinks_and_dumps() {
-    // Exercise the reproducer machinery itself on a synthetic "divergence"
-    // (any strided point at chunk 1 false-shares, so treat the FS verdict
-    // as the thing to reproduce): the dump must parse and round-trip.
-    let p = Params {
-        template: 0,
-        threads: 4,
-        chunk: 1,
-        k: 2,
-        stride: 1,
+    let planted = |c: &Case| (c.threads >= 3 && c.chunk >= 2).then(|| "planted".to_string());
+    let start = Case {
+        size: 3,
+        threads: 8,
+        chunk: 12,
+        stride: 4,
+        stack_lines: Some(8),
+        stack_sets: 64,
+        invalidate: true,
+        count_ts: true,
+        max_runs: Some(5),
+        interleave: fs_core::simulation::Interleave::PerChunk,
+        prefetch: false,
+        tiny_machine: true,
+        ..Case::new("strided")
     };
-    let path = dump_reproducer(p);
-    let src = std::fs::read_to_string(&path).unwrap();
-    let k = fs_core::parse_kernel(&src).unwrap();
-    assert_eq!(k.name, "strided");
+    let small = shrink(start.clone(), |c| planted(c).is_some());
+    let minimal = Case {
+        threads: 3,
+        chunk: 2,
+        ..Case::new("strided")
+    };
+    assert_eq!(small, minimal);
+
+    let failure = std::panic::catch_unwind(|| check("planted", &start, planted))
+        .expect_err("check must fail on a planted divergence");
+    let msg = failure.downcast_ref::<String>().expect("panic message");
+    assert!(msg.contains("reproducer: "), "{msg}");
+
+    let path = dump("planted", &small, "threads >= 3 and chunk >= 2");
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        text.starts_with("// planted: threads >= 3 and chunk >= 2\n"),
+        "{text}"
+    );
+    let kernel = fs_core::parse_kernel(&text).unwrap();
+    assert_eq!(kernel.name, "strided");
+    assert_eq!(
+        kernel.nest.parallel.schedule,
+        loop_ir::Schedule::Static { chunk: 2 }
+    );
+    let printed = fs_core::kernel_to_dsl(&kernel);
+    assert_eq!(fs_core::parse_kernel(&printed).unwrap(), kernel);
     std::fs::remove_file(&path).ok();
 }

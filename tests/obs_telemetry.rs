@@ -1,7 +1,7 @@
 //! Telemetry-primitive coverage: the log-scale [`Histogram`] and the
 //! bounded ring span recorder added for the always-on daemon.
 //!
-//! Property tests (via the vendored proptest shim):
+//! Property tests (on the seeded case runner in `tests/common`):
 //!
 //! * every recorded value lands in the bucket whose bounds contain it,
 //! * quantile estimates are monotone in `q`, and
@@ -17,7 +17,10 @@
 
 use fs_core::obs::hist::{bucket_hi, bucket_index, bucket_lo, NUM_BUCKETS};
 use fs_core::obs::{self, Histogram, ObsConfig};
-use proptest::prelude::*;
+
+mod common;
+
+use common::cases;
 use std::sync::Mutex;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -34,71 +37,70 @@ fn lock_counters_on() -> std::sync::MutexGuard<'static, ()> {
     guard
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// A recorded value increments exactly the bucket whose inclusive
-    /// bounds contain it. `base << shift` sweeps every octave, not just
-    /// the small values a plain range would favor.
-    #[test]
-    fn recorded_value_lands_in_its_bucket(base in 0u64..4096, shift in 0u32..52) {
-        let _obs = lock_counters_on();
-        let v = base << shift;
+/// A recorded value increments exactly the bucket whose inclusive bounds
+/// contain it. `base << shift` sweeps every octave, not just the small
+/// values a plain range would favor.
+#[test]
+fn recorded_value_lands_in_its_bucket() {
+    let _obs = lock_counters_on();
+    cases("recorded_value_lands_in_its_bucket", 256, |rng| {
+        let v = rng.int(0u64..=4095) << rng.int(0..=51);
         let h = Histogram::new("test.prop_bucket");
         h.record_ns(v);
         let s = h.snapshot();
-        prop_assert_eq!(s.count, 1);
-        prop_assert_eq!(s.sum, v);
+        assert_eq!(s.count, 1);
+        assert_eq!(s.sum, v);
         let i = bucket_index(v);
-        prop_assert!(i < NUM_BUCKETS);
-        prop_assert_eq!(s.buckets[i], 1, "v={} bucket={}", v, i);
-        prop_assert!(bucket_lo(i) <= v && v <= bucket_hi(i),
-            "v={} outside bucket {} = [{}, {}]", v, i, bucket_lo(i), bucket_hi(i));
-        prop_assert_eq!(s.buckets.iter().sum::<u64>(), 1);
-    }
+        assert!(i < NUM_BUCKETS);
+        assert_eq!(s.buckets[i], 1, "v={v} bucket={i}");
+        let (lo, hi) = (bucket_lo(i), bucket_hi(i));
+        assert!(
+            lo <= v && v <= hi,
+            "v={v} outside bucket {i} = [{lo}, {hi}]"
+        );
+        assert_eq!(s.buckets.iter().sum::<u64>(), 1);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Draw 1..=63 values in `0..=max`.
+fn values(rng: &mut common::Rng, max: u64) -> Vec<u64> {
+    (0..rng.int(1..=63)).map(|_| rng.int(0..=max)).collect()
+}
 
-    /// Quantile estimates never decrease as `q` grows, and are bracketed
-    /// by the estimates at q=0 and q=1.
-    #[test]
-    fn quantiles_are_monotone_in_q(
-        values in prop::collection::vec(0u64..2_000_000_000, 1..64),
-        qa in 0.0f64..1.0,
-        qb in 0.0f64..1.0,
-    ) {
-        let _obs = lock_counters_on();
+/// Quantile estimates never decrease as `q` grows, and are bracketed by
+/// the estimates at q=0 and q=1.
+#[test]
+fn quantiles_are_monotone_in_q() {
+    let _obs = lock_counters_on();
+    cases("quantiles_are_monotone_in_q", 128, |rng| {
+        let values = values(rng, 1_999_999_999);
         let h = Histogram::new("test.prop_quantile");
         for &v in &values {
             h.record_ns(v);
         }
         let s = h.snapshot();
-        let (lo_q, hi_q) = if qa <= qb { (qa, qb) } else { (qb, qa) };
-        prop_assert!(s.quantile(lo_q) <= s.quantile(hi_q),
-            "quantile({}) > quantile({})", lo_q, hi_q);
-        prop_assert!(s.quantile(0.0) <= s.quantile(lo_q));
-        prop_assert!(s.quantile(hi_q) <= s.quantile(1.0));
+        let (qa, qb) = (rng.unit(), rng.unit());
+        let (lo_q, hi_q) = (qa.min(qb), qa.max(qb));
+        assert!(
+            s.quantile(lo_q) <= s.quantile(hi_q),
+            "quantile({lo_q}) > quantile({hi_q})"
+        );
+        assert!(s.quantile(0.0) <= s.quantile(lo_q));
+        assert!(s.quantile(hi_q) <= s.quantile(1.0));
         // The max estimate covers the true max (errs high by one bucket).
-        let max = *values.iter().max().unwrap();
-        prop_assert!(s.quantile(1.0) >= max);
-    }
+        assert!(s.quantile(1.0) >= *values.iter().max().unwrap());
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Splitting a stream across two histograms and merging the snapshots
-    /// is indistinguishable from recording everything into one — the
-    /// property that makes per-interval / per-shard aggregation sound.
-    #[test]
-    fn merge_equals_recording_into_one(
-        values in prop::collection::vec(0u64..(1u64 << 48), 1..64),
-        cut in 0usize..64,
-    ) {
-        let _obs = lock_counters_on();
-        let cut = cut % (values.len() + 1);
+/// Splitting a stream across two histograms and merging the snapshots is
+/// indistinguishable from recording everything into one — the property
+/// that makes per-interval / per-shard aggregation sound.
+#[test]
+fn merge_equals_recording_into_one() {
+    let _obs = lock_counters_on();
+    cases("merge_equals_recording_into_one", 128, |rng| {
+        let values = values(rng, (1 << 48) - 1);
+        let cut = rng.int(0..=values.len());
         let (left, right) = values.split_at(cut);
         let h_left = Histogram::new("test.prop_merge");
         let h_right = Histogram::new("test.prop_merge");
@@ -115,13 +117,13 @@ proptest! {
         let mut merged = h_left.snapshot();
         merged.merge(&h_right.snapshot());
         let all = h_all.snapshot();
-        prop_assert_eq!(merged.count, all.count);
-        prop_assert_eq!(merged.sum, all.sum);
-        prop_assert_eq!(merged.buckets, all.buckets);
+        assert_eq!(merged.count, all.count);
+        assert_eq!(merged.sum, all.sum);
+        assert_eq!(merged.buckets, all.buckets);
         // The Prometheus series agrees too: final cumulative == count.
         let cum = merged.cumulative_buckets();
-        prop_assert_eq!(cum.last().map(|&(_, c)| c), Some(merged.count));
-    }
+        assert_eq!(cum.last().map(|&(_, c)| c), Some(merged.count));
+    });
 }
 
 #[test]

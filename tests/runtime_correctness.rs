@@ -4,7 +4,10 @@
 
 use fs_runtime::kernels::*;
 use fs_runtime::{parallel_for_each, ThreadPool};
-use proptest::prelude::*;
+
+mod common;
+
+use common::cases;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn close(a: f64, b: f64) -> bool {
@@ -78,35 +81,33 @@ fn transpose_roundtrip_is_identity() {
     assert_eq!(a, c);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Every iteration of a static schedule executes exactly once, for
-    /// arbitrary trip counts, team sizes and chunks.
-    #[test]
-    fn static_schedule_partitions_iterations(
-        trip in 0u64..500,
-        threads in 1usize..9,
-        chunk in 1u64..40,
-    ) {
+/// Every iteration of a static schedule executes exactly once, for
+/// arbitrary trip counts, team sizes and chunks.
+#[test]
+fn static_schedule_partitions_iterations() {
+    cases("static_schedule_partitions_iterations", 32, |rng| {
+        let (trip, threads, chunk) = (rng.int(0..=499), rng.int(1..=8), rng.int(1..=39));
         let counts: Vec<AtomicU64> = (0..trip).map(|_| AtomicU64::new(0)).collect();
         parallel_for_each(trip, threads, chunk, |_, i| {
             counts[i as usize].fetch_add(1, Ordering::Relaxed);
         });
         for (i, c) in counts.iter().enumerate() {
-            prop_assert_eq!(c.load(Ordering::Relaxed), 1, "iteration {}", i);
+            assert_eq!(c.load(Ordering::Relaxed), 1, "iteration {i}");
         }
-    }
+    });
+}
 
-    /// Dot products agree with the direct sum for arbitrary shapes.
-    #[test]
-    fn dotprod_agrees(len in 1usize..2000, threads in 1usize..9, padded in any::<bool>()) {
+/// Dot products agree with the direct sum for arbitrary shapes.
+#[test]
+fn dotprod_agrees() {
+    cases("dotprod_agrees", 32, |rng| {
+        let len = rng.int(1..=1999);
         let x: Vec<f64> = (0..len).map(|i| (i % 97) as f64 * 0.01).collect();
         let y: Vec<f64> = (0..len).map(|i| ((i * 7) % 89) as f64 * 0.02).collect();
         let direct: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let d = dotprod_partials(&x, &y, threads, padded);
-        prop_assert!(close(d, direct), "{} vs {}", d, direct);
-    }
+        let d = dotprod_partials(&x, &y, rng.int(1..=8), rng.coin());
+        assert!(close(d, direct), "{d} vs {direct}");
+    });
 }
 
 #[test]

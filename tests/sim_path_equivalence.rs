@@ -1,80 +1,60 @@
-//! Property test: the optimized measured-side replay (dense directory +
-//! batched block generation) is bit-identical on [`SimStats`] to the
-//! reference per-access MESI simulator, over randomized DSL-corpus kernels
-//! × team sizes × schedules × interleave policies; plus a determinism test
-//! that the pooled experiment harness returns byte-identical results to a
-//! serial run.
+//! Differential oracle for the measured side: the optimized replay (dense
+//! directory + batched block generation) is bit-identical on [`SimStats`]
+//! to the reference per-access MESI simulator, over generated kernels ×
+//! team sizes × schedules × interleave policies × machines. A diverging
+//! case is shrunk and dumped as a `.loop` reproducer by the shared harness
+//! in `tests/common`. Plus a determinism test: the pooled experiment
+//! harness returns byte-identical results to a serial run.
 
-use fs_core::corpus_kernel_with_consts;
+mod common;
+
+use common::{differential, Case, Kind};
 use fs_core::simulation::{simulate_kernel, Interleave, SimOptions, SimPath, SimStats};
-use loop_ir::Kernel;
 use machine::presets;
-use proptest::prelude::*;
 
-/// Build a corpus kernel at a randomized (small) problem size. The const
-/// names per kernel match `crates/core/src/corpus.rs`; sizes are scaled
-/// down so a proptest case stays fast — every access is replayed through
-/// both simulators.
-fn sized_corpus_kernel(name: &str, scale: u64) -> Kernel {
-    let s = scale as i64; // 1..=3
-    let consts: Vec<(&str, i64)> = match name {
-        "dft" => vec![("N", 8 * s), ("K", 32 * s)],
-        "heat" => vec![("N", 6 * s), ("M", 32 * s + 2)],
-        "histogram" => vec![("T", 8), ("N", 64 * s)],
-        "linreg" => vec![("N", 48 * s), ("M", 8 * s)],
-        "matmul" => vec![("N", 8 * s), ("M", 8 * s), ("P", 8)],
-        "stencil" => vec![("N", 64 * s + 2)],
-        other => panic!("unknown corpus kernel {other}"),
+/// `SimPath::Optimized` against `SimPath::Reference`, every field of
+/// [`SimStats`].
+fn divergence(case: &Case) -> Option<String> {
+    let kernel = case.kernel();
+    let machine = if case.tiny_machine {
+        presets::tiny_test()
+    } else {
+        presets::paper48()
     };
-    corpus_kernel_with_consts(name, &consts).expect("corpus kernel builds")
+    let mut opts = SimOptions::new(case.threads).with_interleave(case.interleave);
+    opts.prefetch = case.prefetch;
+    let optimized = simulate_kernel(&kernel, &machine, opts.with_path(SimPath::Optimized));
+    let reference = simulate_kernel(&kernel, &machine, opts.with_path(SimPath::Reference));
+    (optimized != reference).then(|| {
+        format!(
+            "optimized replay diverges from reference: {} vs {} accesses, {} vs {} FS misses",
+            optimized.total_accesses(),
+            reference.total_accesses(),
+            optimized.total_false_sharing(),
+            reference.total_false_sharing()
+        )
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Full equivalence across the bundled corpus, both machine presets,
-    /// all three interleave policies and the prefetcher toggle.
-    #[test]
-    fn optimized_replay_matches_reference(
-        name in prop::sample::select(vec![
-            "dft",
-            "heat",
-            "histogram",
-            "linreg",
-            "matmul",
-            "stencil",
-        ]),
-        scale in 1u64..4,
-        threads in 1u32..9,
-        chunk in prop::sample::select(vec![1u64, 2, 4, 16]),
-        interleave in prop::sample::select(vec![
-            Interleave::PerIteration,
-            Interleave::PerChunk,
-            Interleave::PerIterationSkewed,
-        ]),
-        prefetch in any::<bool>(),
-        tiny_machine in any::<bool>(),
-    ) {
-        let mut kernel = sized_corpus_kernel(name, scale);
-        kernel.nest.parallel.schedule = loop_ir::Schedule::Static { chunk };
-        let machine = if tiny_machine {
-            presets::tiny_test()
-        } else {
-            presets::paper48()
-        };
-        let mut opts = SimOptions::new(threads).with_interleave(interleave);
-        opts.prefetch = prefetch;
-        let optimized = simulate_kernel(&kernel, &machine, opts.with_path(SimPath::Optimized));
-        let reference = simulate_kernel(&kernel, &machine, opts.with_path(SimPath::Reference));
-        prop_assert_eq!(
-            &optimized,
-            &reference,
-            "replay paths diverge for {} scale={} threads={} chunk={} \
-             interleave={:?} prefetch={} machine={}",
-            name, scale, threads, chunk, interleave, prefetch,
-            if tiny_machine { "tiny_test" } else { "paper48" }
-        );
-    }
+/// Full equivalence over every template kind, both machine presets, all
+/// three interleave policies and the prefetcher toggle.
+#[test]
+fn optimized_replay_matches_reference() {
+    differential(
+        "optimized_replay_matches_reference",
+        32,
+        |rng| Case {
+            interleave: rng.pick(&[
+                Interleave::PerIteration,
+                Interleave::PerChunk,
+                Interleave::PerIterationSkewed,
+            ]),
+            prefetch: rng.coin(),
+            tiny_machine: rng.coin(),
+            ..Case::draw(rng, &[Kind::Corpus, Kind::Decidable, Kind::Boundary])
+        },
+        divergence,
+    );
 }
 
 /// The parallel experiment harness must be a pure reordering of work:

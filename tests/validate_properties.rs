@@ -12,29 +12,38 @@ use loop_ir::{
     validate, validate_bounds, AffineExpr, ArrayRef, Expr, KernelBuilder, ScalarType, Schedule,
     Stmt, ValidateError, VarId,
 };
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+mod common;
 
-    /// Parser output is always structurally valid: any corpus kernel, any
-    /// `N` override, any chunk size.
-    #[test]
-    fn parse_kernel_output_always_validates(
-        entry_idx in 0usize..6,
-        n in 8i64..=256,
-        chunk in 1u64..=64,
-    ) {
-        let entry = fs_core::CORPUS[entry_idx];
+use common::cases;
+
+/// Parser output is always structurally valid: any corpus kernel, any
+/// `N` override, any chunk size.
+#[test]
+fn parse_kernel_output_always_validates() {
+    cases("parse_kernel_output_always_validates", 128, |rng| {
+        let entry = rng.pick(fs_core::CORPUS);
+        let n: i64 = rng.int(8..=256);
+        let chunk = rng.int(1..=64);
         let k = fs_core::parse_kernel_with_consts(entry.source, &[("N", n)])
             .unwrap_or_else(|e| panic!("@{}: {e}", entry.name));
-        prop_assert_eq!(validate(&k), Ok(()), "@{} N={} parses but fails validate", entry.name, n);
+        assert_eq!(
+            validate(&k),
+            Ok(()),
+            "@{} N={n} parses but fails validate",
+            entry.name
+        );
         let rechunked = fs_core::kernel_at_chunk(&k, chunk);
-        prop_assert_eq!(validate(&rechunked), Ok(()), "@{} chunk={}", entry.name, chunk);
+        assert_eq!(
+            validate(&rechunked),
+            Ok(()),
+            "@{} chunk={chunk}",
+            entry.name
+        );
         // Round-trip through the printer stays valid too.
         let back = fs_core::parse_kernel(&loop_ir::pretty::kernel_to_dsl(&k)).unwrap();
-        prop_assert_eq!(validate(&back), Ok(()));
-    }
+        assert_eq!(validate(&back), Ok(()));
+    });
 }
 
 #[test]
